@@ -54,7 +54,7 @@ object And {
           if (process && theta.get(id) > 0) {
             values.clear()
             val cur = theta.get(id)
-            val found = idx.foreachIncidentSclique(id, s, scratch) { subsetIds =>
+            val found = idx.foreachIncidentSclique(id, scratch) { subsetIds =>
               var mn = Int.MaxValue
               var j = 0
               while (j < subsetIds.length) {
@@ -74,7 +74,7 @@ object And {
               changedAny.set(true)
               if (notification) {
                 // notify all r-cliques sharing an s-clique with id
-                val found2 = idx.foreachIncidentSclique(id, s, scratch) { subsetIds =>
+                val found2 = idx.foreachIncidentSclique(id, scratch) { subsetIds =>
                   var j = 0
                   while (j < subsetIds.length) {
                     if (subsetIds(j) != id) dirty.set(subsetIds(j), 1)

@@ -37,14 +37,7 @@ final case class BaselineResult(
   */
 object Nd {
 
-  def run(g: CSRGraph, r: Int, s: Int): BaselineResult = run(g, r, s, parallelUpdates = false)
-
-  /** `parallelUpdates = true` gives PND's behaviour: the count decrements of
-    * a peel step are applied as one batch, but peels themselves remain
-    * sequential (PND does not parallelize within the peeling process, which
-    * is the source of its 5608–84170× round blow-up vs ARB).
-    */
-  private[baselines] def run(g: CSRGraph, r: Int, s: Int, parallelUpdates: Boolean): BaselineResult = {
+  def run(g: CSRGraph, r: Int, s: Int): BaselineResult = {
     val t0 = System.nanoTime()
     val idx = new CliqueIndex(g, r)
     val (counts0, _) = idx.countScliques(s)
@@ -62,7 +55,6 @@ object Nd {
     var kCur = 0L
     var rounds = 0L
     var discoveries = 0L
-    val pendingDecrements = new repro.core.IntBuffer()
 
     while (!heap.isEmpty) {
       val top = heap.poll().longValue()
@@ -73,8 +65,7 @@ object Nd {
         kCur = math.max(kCur, ccount)
         core(cid) = kCur
         peeled(cid) = true
-        pendingDecrements.clear()
-        discoveries += idx.foreachIncidentSclique(cid, s, scratch) { subsetIds =>
+        discoveries += idx.foreachIncidentSclique(cid, scratch) { subsetIds =>
           var dead = false
           var j = 0
           while (!dead && j < subsetIds.length) {
@@ -84,33 +75,13 @@ object Nd {
           if (!dead) {
             j = 0
             while (j < subsetIds.length) {
-              if (subsetIds(j) != cid) pendingDecrements += subsetIds(j)
+              val t = subsetIds(j)
+              if (t != cid) {
+                counts(t) -= 1
+                heap.add((counts(t).toLong << 32) | t.toLong)
+              }
               j += 1
             }
-          }
-        }
-        if (parallelUpdates && pendingDecrements.size > 1024) {
-          // PND batches a peel's decrements (sort + run-length grouping of
-          // repeated ids); the binary heap forces reinsertion to stay
-          // sequential, which is precisely the intra-bucket serialization
-          // the paper criticizes PND for.
-          val arr = pendingDecrements.toArray
-          java.util.Arrays.sort(arr)
-          var i = 0
-          while (i < arr.length) {
-            var j = i
-            while (j < arr.length && arr(j) == arr(i)) j += 1
-            counts(arr(i)) -= (j - i)
-            heap.add((counts(arr(i)).toLong << 32) | arr(i).toLong)
-            i = j
-          }
-        } else {
-          var i = 0
-          while (i < pendingDecrements.size) {
-            val t = pendingDecrements(i)
-            counts(t) -= 1
-            heap.add((counts(t).toLong << 32) | t.toLong)
-            i += 1
           }
         }
       }
@@ -119,11 +90,14 @@ object Nd {
   }
 }
 
-/** PND — Sariyüce et al.'s parallel global algorithm [56]. It peels
-  * r-cliques with equal counts sequentially (to avoid the synchronization
-  * the paper's update-aggregation optimization addresses), parallelizing
-  * only the count updates, so its round count equals ND's.
+/** PND — Sariyüce et al.'s parallel global algorithm [56], as ND's peel.
+  * PND peels r-clique by r-clique like ND (it does not parallelize within
+  * the peeling process, the source of its 5608–84170× round blow-up vs
+  * ARB); it differs only in parallelizing each peel's count updates. The
+  * updates' order cannot change the result — heap entries are ordered by
+  * (count, id) and counts only decrease — so this reimplementation applies
+  * them sequentially and yields ND's cores, rounds and discoveries.
   */
 object Pnd {
-  def run(g: CSRGraph, r: Int, s: Int): BaselineResult = Nd.run(g, r, s, parallelUpdates = true)
+  def run(g: CSRGraph, r: Int, s: Int): BaselineResult = Nd.run(g, r, s)
 }

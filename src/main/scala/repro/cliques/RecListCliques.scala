@@ -21,31 +21,8 @@ object RecListCliques {
   /** Enumerates every k-clique of the oriented graph `dg` (k ≥ 1). */
   def foreachClique(dg: DirectedGraph, k: Int)(consumerFactory: () => Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
-    if (dg.n == 0) return
-    if (k == 1) {
-      Par.forBlocked(0, dg.n) { (lo, hi) =>
-        val f = consumerFactory()
-        val buf = new Array[Int](1)
-        var v = lo
-        while (v < hi) { buf(0) = v; f(buf); v += 1 }
-      }
-      return
-    }
-    val maxD = math.max(1, dg.maxOutDegree)
     Par.forBlocked(0, dg.n, grain = 16) { (lo, hi) =>
-      val f = consumerFactory()
-      val clique = new Array[Int](k)
-      val bufs = Array.ofDim[Int](math.max(1, k - 1), maxD)
-      var v = lo
-      while (v < hi) {
-        clique(0) = v
-        var len = 0
-        var i = dg.offsets(v)
-        val iHi = dg.offsets(v + 1)
-        while (i < iHi) { bufs(0)(len) = dg.adj(i); len += 1; i += 1 }
-        if (len >= k - 1) rec(dg, k - 1, 1, clique, bufs, 0, len, f)
-        v += 1
-      }
+      foreachCliqueFromRoots(dg, k, Iterator.range(lo, hi))(consumerFactory())
     }
   }
 
@@ -61,28 +38,36 @@ object RecListCliques {
     acc.get()
   }
 
-  /** Sequentially counts the k-cliques rooted at each vertex drawn from
+  /** Sequentially enumerates the k-cliques rooted at each vertex drawn from
     * `roots` (a root's cliques are those whose orientation-minimal vertex it
-    * is). Used by the Spark fan-out, where parallelism comes from the
-    * partitioning rather than from [[repro.par.Par]].
+    * is), in root order. The parallel [[foreachClique]] runs it over each
+    * block of roots; the Spark fan-out runs it over each partition's roots.
     */
-  def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
+  def foreachCliqueFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int])(f: Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
-    if (k == 1) return roots.size.toLong
-    val maxD = math.max(1, dg.maxOutDegree)
     val clique = new Array[Int](k)
-    val bufs = Array.ofDim[Int](math.max(1, k - 1), maxD)
-    var total = 0L
-    val counter: Array[Int] => Unit = _ => total += 1
+    val bufs = Array.ofDim[Int](math.max(1, k - 1), math.max(1, dg.maxOutDegree))
     while (roots.hasNext) {
       val v = roots.next()
       clique(0) = v
-      var len = 0
-      var i = dg.offsets(v)
-      val iHi = dg.offsets(v + 1)
-      while (i < iHi) { bufs(0)(len) = dg.adj(i); len += 1; i += 1 }
-      if (len >= k - 1) rec(dg, k - 1, 1, clique, bufs, 0, len, counter)
+      if (k == 1) f(clique)
+      else {
+        var len = 0
+        var i = dg.offsets(v)
+        val iHi = dg.offsets(v + 1)
+        while (i < iHi) { bufs(0)(len) = dg.adj(i); len += 1; i += 1 }
+        if (len >= k - 1) rec(dg, k - 1, 1, clique, bufs(0), len, bufs, 1, f)
+      }
     }
+  }
+
+  /** Sequentially counts the k-cliques rooted at each vertex drawn from
+    * `roots`. Used by the Spark fan-out, where parallelism comes from the
+    * partitioning rather than from [[repro.par.Par]].
+    */
+  def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
+    var total = 0L
+    foreachCliqueFromRoots(dg, k, roots)(_ => total += 1)
     total
   }
 
@@ -103,69 +88,42 @@ object RecListCliques {
       bufs: Array[Array[Int]]
   )(f: Array[Int] => Unit): Unit = {
     require(need >= 1, s"need must be >= 1, got $need")
+    // Same loop as rec's leaf, kept as its own call site: (2,3) and (3,4)
+    // UPDATE only reach this one, so the JIT sees one consumer type here
+    // rather than every listing consumer that reaches rec's leaf.
     if (need == 1) {
       var i = 0
       while (i < candLen) { clique(baseLen) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(baseLen) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(0))
-      if (nl >= need - 1) recCompletion(dg, need - 1, baseLen + 1, clique, bufs, 0, nl, f)
-      i += 1
-    }
+    } else rec(dg, need, baseLen, clique, cand, candLen, bufs, 0, f)
   }
 
-  private def recCompletion(
-      dg: DirectedGraph,
-      rl: Int,
-      depth: Int,
-      clique: Array[Int],
-      bufs: Array[Array[Int]],
-      bufIdx: Int,
-      candLen: Int,
-      f: Array[Int] => Unit
-  ): Unit = {
-    val cand = bufs(bufIdx)
-    if (rl == 1) {
-      var i = 0
-      while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) recCompletion(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl, f)
-      i += 1
-    }
-  }
-
+  /** REC-LIST-CLIQUES' recursion: extends `clique(0 until depth)` by `rl`
+    * vertices drawn from the sorted candidates `cand(0 until candLen)`,
+    * writing each level's next candidates into `bufs(bufIdx)` onwards.
+    */
   private def rec(
       dg: DirectedGraph,
       rl: Int,
       depth: Int,
       clique: Array[Int],
+      cand: Array[Int],
+      candLen: Int,
       bufs: Array[Array[Int]],
       bufIdx: Int,
-      candLen: Int,
       f: Array[Int] => Unit
   ): Unit = {
-    val cand = bufs(bufIdx)
     if (rl == 1) {
       var i = 0
       while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
       return
     }
+    val next = bufs(bufIdx)
     var i = 0
     while (i < candLen) {
       val u = cand(i)
       clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) rec(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl, f)
+      val nl = dg.intersectOut(cand, candLen, u, next)
+      if (nl >= rl - 1) rec(dg, rl - 1, depth + 1, clique, next, nl, bufs, bufIdx + 1, f)
       i += 1
     }
   }

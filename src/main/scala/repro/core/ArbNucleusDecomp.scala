@@ -113,27 +113,13 @@ object ArbNucleusDecomp {
 
     // --- count s-cliques per r-clique ---------------------------------------
     t0 = System.nanoTime()
-    val combos = Util.combinations(s, r)
-    RecListCliques.foreachClique(dg, s) { () =>
-      val sBuf = new Array[Int](s)
-      val subBuf = new Array[Int](r)
-      clique => {
-        System.arraycopy(clique, 0, sBuf, 0, s)
-        if (!cfg.relabel) Util.insertionSort(sBuf, s)
-        var j = 0
-        while (j < combos.length) {
-          val combo = combos(j)
-          var t = 0
-          while (t < r) { subBuf(t) = sBuf(combo(t)); t += 1 }
-          val slot = table.slotOf(subBuf)
-          table.addCount(slot, 1L)
-          j += 1
-        }
-      }
+    foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
+      table.addCount(table.slotOf(sub), 1L)
     }
     var sumCounts0 = 0L
     table.foreachOccupied { slot => sumCounts0 += table.count(slot) }
-    val numS = if (combos.isEmpty) 0L else sumCounts0 / combos.length
+    val numSubsets = Util.choose(s, r)
+    val numS = sumCounts0 / numSubsets
     val tCount = msSince(t0)
 
     // --- peel ----------------------------------------------------------------
@@ -154,8 +140,6 @@ object ArbNucleusDecomp {
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
 
     val maxDeg = math.max(1, workGraph.maxDegree)
-    val need = s - r
-    val numSubsets = combos.length
     val discoveries = new LongAdder
 
     var finished = 0L
@@ -180,52 +164,37 @@ object ArbNucleusDecomp {
         agg.beginRound(expected * math.max(1, numSubsets - 1))
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
-          val vsR = new Array[Int](r)
-          val iBuf = new Array[Int](maxDeg)
-          val cliqueBuf = new Array[Int](s)
-          val sBuf = new Array[Int](s)
-          val subBuf = new Array[Int](r)
-          val subsetSlots = new Array[Int](numSubsets)
-          val compBufs = Array.ofDim[Int](math.max(1, need), maxDeg)
+          val sc = new UpdateScratch(r, s, maxDeg)
+          val subsetSlots = sc.subsetIds
           var localDisc = 0L
           var idx = blo
           while (idx < bhi) {
             val slot = ids(idx)
-            table.cliqueOf(slot, vsR)
-            val iLen = Intersect.commonNeighbors(peelGraph, vsR, r, iBuf)
-            System.arraycopy(vsR, 0, cliqueBuf, 0, r)
-            if (iLen >= need) {
-              RecListCliques.foreachCompletion(dg, iBuf, iLen, need, cliqueBuf, r, compBufs) { cl =>
-                localDisc += 1
-                System.arraycopy(cl, 0, sBuf, 0, s)
-                Util.insertionSort(sBuf, s)
-                // classify the C(s,r) subsets of this s-clique
-                var abort = false
-                var minA = Int.MaxValue
-                var j = 0
-                while (!abort && j < numSubsets) {
-                  val combo = combos(j)
-                  var t = 0
-                  while (t < r) { subBuf(t) = sBuf(combo(t)); t += 1 }
-                  val sl = table.slotOf(subBuf)
-                  subsetSlots(j) = sl
-                  val pr = peeledRound(sl)
-                  if (pr < thisRound) abort = true // s-clique destroyed earlier
-                  else if (pr == thisRound && sl < minA) minA = sl
-                  j += 1
-                }
-                // the minimum peeled subset is the round's sole representative
-                // for this s-clique (substitute for the paper's 1/a fractions)
-                if (!abort && minA == slot) {
-                  j = 0
-                  while (j < numSubsets) {
-                    val sl = subsetSlots(j)
-                    if (peeledRound(sl) > thisRound) {
-                      table.addCount(sl, -1L)
-                      agg.offer(sl)
-                    }
-                    j += 1
+            table.cliqueOf(slot, sc.vsR)
+            localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
+              // classify the C(s,r) subsets of this s-clique
+              var abort = false
+              var minA = Int.MaxValue
+              var j = 0
+              while (!abort && j < numSubsets) {
+                val sl = table.slotOf(sc.subsets(sBuf, j))
+                subsetSlots(j) = sl
+                val pr = peeledRound(sl)
+                if (pr < thisRound) abort = true // s-clique destroyed earlier
+                else if (pr == thisRound && sl < minA) minA = sl
+                j += 1
+              }
+              // the minimum peeled subset is the round's sole representative
+              // for this s-clique (substitute for the paper's 1/a fractions)
+              if (!abort && minA == slot) {
+                j = 0
+                while (j < numSubsets) {
+                  val sl = subsetSlots(j)
+                  if (peeledRound(sl) > thisRound) {
+                    table.addCount(sl, -1L)
+                    agg.offer(sl)
                   }
+                  j += 1
                 }
               }
             }
@@ -279,6 +248,61 @@ object ArbNucleusDecomp {
   }
 
   @inline private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
+
+  /** The count phase's enumeration (Algorithm 2's initial s-clique
+    * counts): lists every s-clique of `dg` in parallel and calls `f` on
+    * each of its C(s,r) r-subsets, vertices sorted ascending, in a reused
+    * per-thread buffer. `sortNeeded` is false when listing already yields
+    * ascending vertices (a rank-relabeled graph).
+    */
+  private[repro] def foreachRSubsetOfScliques(dg: DirectedGraph, r: Int, s: Int, sortNeeded: Boolean)(
+      f: Array[Int] => Unit
+  ): Unit =
+    RecListCliques.foreachClique(dg, s) { () =>
+      val sBuf = new Array[Int](s)
+      val subsets = new CliqueSubsets(s, r)
+      clique => {
+        System.arraycopy(clique, 0, sBuf, 0, s)
+        if (sortNeeded) Util.insertionSort(sBuf, s)
+        var j = 0
+        while (j < subsets.size) { f(subsets(sBuf, j)); j += 1 }
+      }
+    }
+
+  /** Per-thread buffers of UPDATE's front end ([[foreachIncidentSclique]]). */
+  final class UpdateScratch(val r: Int, val s: Int, maxDeg: Int) {
+    /** The r-clique to expand; the caller writes it, sorted ascending. */
+    val vsR = new Array[Int](r)
+    val subsets = new CliqueSubsets(s, r)
+    /** One entry per r-subset of an s-clique, for the caller's use. */
+    val subsetIds = new Array[Int](subsets.size)
+    private[ArbNucleusDecomp] val iBuf = new Array[Int](maxDeg)
+    private[ArbNucleusDecomp] val cliqueBuf = new Array[Int](s)
+    private[ArbNucleusDecomp] val sBuf = new Array[Int](s)
+    private[ArbNucleusDecomp] val compBufs = Array.ofDim[Int](math.max(1, s - r), maxDeg)
+  }
+
+  /** UPDATE's front end for the r-clique `sc.vsR` (Algorithm 2):
+    * intersects its members' neighborhoods in `g`, extends the common
+    * neighbors to s-cliques with REC-LIST-CLIQUES on `dg`, and calls `f` on
+    * each s-clique, vertices sorted ascending, in a reused buffer. Returns
+    * the number of s-cliques found (the "s-clique discoveries" work metric).
+    */
+  def foreachIncidentSclique(g: Adjacency, dg: DirectedGraph, sc: UpdateScratch)(f: Array[Int] => Unit): Long = {
+    val r = sc.r
+    val s = sc.s
+    val iLen = Intersect.commonNeighbors(g, sc.vsR, r, sc.iBuf)
+    if (iLen < s - r) return 0L
+    System.arraycopy(sc.vsR, 0, sc.cliqueBuf, 0, r)
+    var found = 0L
+    RecListCliques.foreachCompletion(dg, sc.iBuf, iLen, s - r, sc.cliqueBuf, r, sc.compBufs) { cl =>
+      found += 1
+      System.arraycopy(cl, 0, sc.sBuf, 0, s)
+      Util.insertionSort(sc.sBuf, s)
+      f(sc.sBuf)
+    }
+    found
+  }
 
   /** Lists all r-cliques into a flattened, lexicographically sorted array.
     * With a rank-relabeled graph the enumeration order is already sorted

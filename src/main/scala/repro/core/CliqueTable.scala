@@ -167,31 +167,8 @@ final class CliqueTable private (
     }
   }
 
-  def isOccupied(slot: Int): Boolean = {
-    val g = if (contiguous) -1 else groupOfSlot(slot)
-    val cell = if (contiguous) keysContig(slot) else keyAt(g, slot)
-    (cell & EmptyBit) == 0L
-  }
-
   def count(slot: Int): Long = counts.get(slot)
   def addCount(slot: Int, delta: Long): Long = counts.addAndGet(slot, delta)
-  def setCount(slot: Int, v: Long): Unit = counts.set(slot, v)
-
-  /** Iterates occupied slots, in parallel blocks over groups. */
-  def foreachOccupiedParallel(f: Int => Unit): Unit =
-    Par.forBlocked(0, numGroups, grain = 256) { (glo, ghi) =>
-      var g = glo
-      while (g < ghi) {
-        val base = groupOffsets(g)
-        val cap = groupCaps(g)
-        var i = 0
-        while (i < cap) {
-          if ((keyAt(g, base + i) & EmptyBit) == 0L) f(base + i)
-          i += 1
-        }
-        g += 1
-      }
-    }
 
   def foreachOccupied(f: Int => Unit): Unit = {
     var g = 0

@@ -28,6 +28,24 @@ final class IntBuffer(initialCapacity: Int = 16) {
   }
 }
 
+/** The C(s,r) r-subsets of a sorted s-clique, in lexicographic order of
+  * positions, each copied into a reused buffer (so each comes out sorted).
+  */
+final class CliqueSubsets(s: Int, r: Int) {
+  private val combos = Util.combinations(s, r)
+  private val buf = new Array[Int](r)
+
+  def size: Int = combos.length
+
+  /** The j-th r-subset of `sClique`, valid until the next call. */
+  def apply(sClique: Array[Int], j: Int): Array[Int] = {
+    val combo = combos(j)
+    var t = 0
+    while (t < r) { buf(t) = sClique(combo(t)); t += 1 }
+    buf
+  }
+}
+
 /** Open-addressing Long → Int map (values ≥ 0), linear probing, no deletes.
   * Used for the intermediate levels of the multi-level clique table.
   */

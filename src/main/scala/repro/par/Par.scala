@@ -93,21 +93,4 @@ object Par {
       }
     })
   }
-
-  /** Parallel sum of `f(i)` over [lo, hi). */
-  def sumLong(lo: Int, hi: Int)(f: Int => Long): Long = {
-    if (hi <= lo) return 0L
-    val nBlocks = math.max(1, math.min(hi - lo, parallelism * 8))
-    val partial = new Array[Long](nBlocks)
-    val size    = (hi - lo + nBlocks - 1) / nBlocks
-    forRange(0, nBlocks, grain = 1) { b =>
-      val bl = lo + b * size
-      val bh = math.min(hi, bl + size)
-      var acc = 0L
-      var i = bl
-      while (i < bh) { acc += f(i); i += 1 }
-      partial(b) = acc
-    }
-    partial.sum
-  }
 }

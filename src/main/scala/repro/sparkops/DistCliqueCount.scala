@@ -72,55 +72,14 @@ object DistCliqueCount {
       .repartition(p)
       .mapPartitions { it =>
         val local = new Array[Long](n)
-        val dgv = bc.value
-        val maxD = math.max(1, dgv.maxOutDegree)
-        val clique = new Array[Int](s)
-        val bufs = Array.ofDim[Int](math.max(1, s - 1), maxD)
-        it.foreach { root =>
-          val v = root.toInt
-          if (s == 1) local(v) += 1
-          else {
-            clique(0) = v
-            var len = 0
-            var i = dgv.offsets(v)
-            while (i < dgv.offsets(v + 1)) { bufs(0)(len) = dgv.adj(i); len += 1; i += 1 }
-            if (len >= s - 1)
-              completeFrom(dgv, s - 1, 1, clique, bufs, 0, len) { cl =>
-                var j = 0
-                while (j < s) { local(cl(j)) += 1; j += 1 }
-              }
-          }
+        RecListCliques.foreachCliqueFromRoots(bc.value, s, it.map(_.toInt)) { cl =>
+          var j = 0
+          while (j < s) { local(cl(j)) += 1; j += 1 }
         }
         local.iterator.zipWithIndex.collect { case (c, v) if c > 0 => (v.toLong, c) }
       }
       .toDF("vertex", "count")
       .groupBy("vertex")
       .agg(sum(col("count")).as("count"))
-  }
-
-  // local recursion mirroring RecListCliques.rec (kept private there)
-  private def completeFrom(
-      dg: DirectedGraph,
-      rl: Int,
-      depth: Int,
-      clique: Array[Int],
-      bufs: Array[Array[Int]],
-      bufIdx: Int,
-      candLen: Int
-  )(f: Array[Int] => Unit): Unit = {
-    val cand = bufs(bufIdx)
-    if (rl == 1) {
-      var i = 0
-      while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) completeFrom(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl)(f)
-      i += 1
-    }
   }
 }

@@ -30,6 +30,16 @@ class BaselinesSpec extends SparkSpec {
   }
 
   for ((name, g) <- TestGraphs.suite; (r, s) <- rsValues) {
+    test(s"PND and ND agree on cores, rounds and discoveries: $name (r=$r,s=$s)") {
+      val nd = Nd.run(g, r, s)
+      val pnd = Pnd.run(g, r, s)
+      assert(pnd.core.toSeq === nd.core.toSeq)
+      assert(pnd.rounds === nd.rounds)
+      assert(pnd.discoveries === nd.discoveries)
+    }
+  }
+
+  for ((name, g) <- TestGraphs.suite; (r, s) <- rsValues) {
     test(s"AND converges to reference: $name (r=$r,s=$s)") {
       val ref = RefNucleus.decompose(g, r, s)
       val res = And.run(g, r, s)

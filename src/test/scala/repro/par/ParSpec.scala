@@ -28,11 +28,6 @@ class ParSpec extends SparkSpec {
     for (i <- 0 until 5000) assert(seen.get(i) === 1)
   }
 
-  test("sumLong equals sequential sum") {
-    assert(Par.sumLong(0, 100000)(i => i.toLong) === (0L until 100000L).sum)
-    assert(Par.sumLong(3, 3)(_ => 1L) === 0L)
-  }
-
   test("withThreads(1) executes sequentially but correctly") {
     val acc = new AtomicLong(0)
     Par.withThreads(1) {

@@ -172,9 +172,4 @@ class SparkIntegrationSpec extends SparkSpec {
     val viaList = RecListCliques.countCliques(Orientation.orient(g), 4)
     assert(viaSql === viaList)
   }
-
-  test("SynthData generators are usable at SF=0.001 (smoke)") {
-    assert(repro.SynthData.lineitem(spark, 0.001).count() > 0)
-    assert(repro.SynthData.zipfKeys(spark, 1000, 50).count() === 1000L)
-  }
 }
