@@ -129,37 +129,119 @@ object RecListCliques {
   }
 }
 
-/** Sorted-adjacency set intersection helpers (paper §3 parallel hash-table
-  * intersections; the practical implementation intersects sorted arrays).
+/** Sorted-array set intersection: UPDATE's common-neighbor kernel and the
+  * out-neighbor intersections of REC-LIST-CLIQUES share one merge/galloping
+  * loop ([[intersect]]). The paper's theory uses the parallel hash tables of
+  * [29]; its GBBS implementation, like this one, intersects sorted arrays.
   */
 object Intersect {
 
-  /** Writes the common undirected neighbors of `vs(0 until len)` into `out`
-    * (sorted ascending) and returns the count. Starts from the
-    * minimum-degree member — the Lemma 4.1 accounting — and filters via
-    * galloping binary search in the others' adjacency lists.
+  /** [[intersect]] merges while the longer list is at most this many times
+    * the shorter one, and gallops beyond.
+    */
+  private final val GallopRatio = 16
+
+  /** Writes the common undirected neighbors of the distinct vertices
+    * `vs(0 until len)` into `out` (sorted ascending) and returns the count.
+    * No member of `vs` is ever in the result: a vertex is not its own
+    * neighbor.
+    *
+    * The members are taken in ascending degree order: the two smallest
+    * adjacency lists are intersected into `out`, which is then filtered in
+    * place against each remaining list, stopping once it is empty. Each step
+    * is an [[intersect]] whose first list is no longer than its second, so
+    * a call costs O(len² + d_min · Σ_j (1 + log(d_j / d_min))) over the
+    * other members j, where d_min is the minimum member degree: that is
+    * O(d_min · (1 + log(d_max / d_min))) for a fixed r. Lemma 4.1 charges the
+    * intersection to the minimum-degree member, and this stays within that
+    * accounting up to the log factor. Adjacency is read through
+    * [[Adjacency.adjArray]] / [[Adjacency.adjFrom]]; nothing is allocated.
     */
   def commonNeighbors(g: Adjacency, vs: Array[Int], len: Int, out: Array[Int]): Int = {
-    require(len >= 1, "need at least one vertex")
-    var minI = 0
-    var i = 1
-    while (i < len) { if (g.degree(vs(i)) < g.degree(vs(minI))) minI = i; i += 1 }
-    val pivot = vs(minI)
-    var k = 0
-    g.foreachNeighbor(pivot) { w =>
-      var ok = true
-      var j = 0
-      while (ok && j < len) {
-        if (j != minI && !(g.hasEdge(vs(j), w) || vs(j) == w)) ok = false
-        j += 1
+    require(len >= 1 && len <= 32, s"need 1 to 32 query vertices, got $len")
+    if (len == 1) {
+      val v = vs(0)
+      val d = g.degree(v)
+      System.arraycopy(g.adjArray(v), g.adjFrom(v), out, 0, d)
+      return d
+    }
+    val ia = minDegreeIndex(g, vs, len, 0)
+    var used = 1 << ia // bit i set once vs(i) has been intersected
+    val ib = minDegreeIndex(g, vs, len, used)
+    used |= 1 << ib
+    val a = vs(ia)
+    val b = vs(ib)
+    var k = intersect(g.adjArray(a), g.adjFrom(a), g.degree(a), g.adjArray(b), g.adjFrom(b), g.degree(b), out)
+    var left = len - 2
+    while (k > 0 && left > 0) {
+      val i = minDegreeIndex(g, vs, len, used)
+      used |= 1 << i
+      val v = vs(i)
+      k = intersect(out, 0, k, g.adjArray(v), g.adjFrom(v), g.degree(v), out)
+      left -= 1
+    }
+    k
+  }
+
+  /** Index of the minimum-degree member of `vs(0 until len)` whose bit in
+    * `used` is clear (ties go to the lowest index).
+    */
+  private def minDegreeIndex(g: Adjacency, vs: Array[Int], len: Int, used: Int): Int = {
+    var best = -1
+    var bestDeg = Int.MaxValue
+    var i = 0
+    while (i < len) {
+      if ((used & (1 << i)) == 0) {
+        val d = g.degree(vs(i))
+        if (d < bestDeg) { best = i; bestDeg = d }
       }
-      // w must be a neighbor of every vs(j); w == vs(j) is impossible since
-      // simple graphs have no self loops, so exclude it explicitly.
-      if (ok) {
-        var member = false
-        var t = 0
-        while (t < len) { if (vs(t) == w) member = true; t += 1 }
-        if (!member) { out(k) = w; k += 1 }
+      i += 1
+    }
+    best
+  }
+
+  /** Writes the intersection of the sorted, duplicate-free lists
+    * `a(aLo until aLo+aLen)` and `b(bLo until bLo+bLen)` into `out` from
+    * index 0, ascending, and returns its size. `out` may be `a` itself when
+    * `aLo == 0` (each write lands at or before the element just read).
+    *
+    * While `aLen · 16 >= bLen` the lists are merged in O(aLen + bLen);
+    * otherwise each element of `a` gallops through `b` (an exponential
+    * search from the last position, then a binary search), in
+    * O(aLen · log(bLen / aLen)) total. So with `a` the shorter list a call
+    * costs O(aLen · (1 + log(bLen / aLen))).
+    */
+  def intersect(a: Array[Int], aLo: Int, aLen: Int, b: Array[Int], bLo: Int, bLen: Int, out: Array[Int]): Int = {
+    val aHi = aLo + aLen
+    val bHi = bLo + bLen
+    var i = aLo
+    var j = bLo
+    var k = 0
+    if (aLen.toLong * GallopRatio >= bLen) {
+      while (i < aHi && j < bHi) {
+        val x = a(i)
+        val y = b(j)
+        if (x == y) { out(k) = x; k += 1; i += 1; j += 1 }
+        else if (x < y) i += 1
+        else j += 1
+      }
+    } else {
+      while (i < aHi && j < bHi) {
+        val x = a(i)
+        if (b(j) < x) {
+          // invariant: b(lo) < x, and b(hi) >= x or hi == bHi
+          var lo = j
+          var step = 1
+          while (step < bHi - lo && b(lo + step) < x) { lo += step; step <<= 1 }
+          var hi = if (step < bHi - lo) lo + step else bHi
+          while (hi - lo > 1) {
+            val mid = (lo + hi) >>> 1
+            if (b(mid) < x) lo = mid else hi = mid
+          }
+          j = hi
+        }
+        if (j < bHi && b(j) == x) { out(k) = x; k += 1; j += 1 }
+        i += 1
       }
     }
     k

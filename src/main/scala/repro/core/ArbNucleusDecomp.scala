@@ -146,7 +146,8 @@ object ArbNucleusDecomp {
     var round = 0
     while (finished < numR) {
       val nb = buckets.nextBucket()
-      assert(nb != null, s"bucketing exhausted with ${numR - finished} cliques unpeeled")
+      if (nb == null)
+        throw new IllegalStateException(s"bucketing exhausted with ${numR - finished} of $numR r-cliques unpeeled")
       val (k, ids) = nb
       round += 1
       val thisRound = round

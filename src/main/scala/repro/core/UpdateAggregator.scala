@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong}
+import repro.par.Par
 
 /** Collects U — the set of r-clique slots whose s-clique count changed in
   * the current peeling round (paper §5.5). Implementations differ in how
@@ -77,11 +78,22 @@ final class SimpleArrayAggregator(capacity: Int) extends UpdateAggregator {
   * array with one fetch-and-add per block, then fills its block privately —
   * contention drops by the buffer size. Unused tail slots are filtered out
   * (and reset) at drain time, touching only the allocated region.
+  *
+  * The array holds every slot once plus less than one block per offering
+  * thread, for at most [[ListBufferAggregator.MaxThreads]] threads: the
+  * constructor rejects a larger [[Par]] pool, and a round whose
+  * blocks still overrun (more threads than that offered) fails with an
+  * IllegalStateException naming the limit.
   */
 final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends UpdateAggregator {
+  import ListBufferAggregator.MaxThreads
+  require(
+    Par.parallelism <= MaxThreads,
+    s"list-buffer aggregator supports at most $MaxThreads threads, the pool has ${Par.parallelism}"
+  )
   private val stamps = new RoundStamp(capacity)
   // worst case: every slot updated once, each thread wasting < blockSize
-  private val u = new Array[Int](math.max(1, capacity + 256 * blockSize))
+  private val u = new Array[Int](math.max(1, capacity + MaxThreads * blockSize))
   java.util.Arrays.fill(u, -1)
   private val nextBlock = new AtomicInteger(0)
   private val epoch = new AtomicInteger(0)
@@ -104,7 +116,9 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
     if (st.seenEpoch != e) { st.seenEpoch = e; st.pos = 0; st.end = 0 }
     if (st.pos == st.end) {
       st.pos = nextBlock.getAndAdd(blockSize)
-      st.end = st.pos + blockSize
+      if (st.pos >= u.length)
+        throw new IllegalStateException(s"list-buffer aggregator overran its slack: more than $MaxThreads threads offered in one round")
+      st.end = math.min(st.pos + blockSize, u.length)
     }
     u(st.pos) = slot
     st.pos += 1
@@ -121,6 +135,11 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
     }
     out.toArray
   }
+}
+
+object ListBufferAggregator {
+  /** Offering threads the shared array leaves slack for. */
+  val MaxThreads = 256
 }
 
 /** §5.5 "Hash Table": a parallel open-addressing set whose probe region is

@@ -1,16 +1,22 @@
 package repro.graph
 
+import repro.cliques.Intersect
 import repro.par.Par
 
-/** Read-only view of an undirected adjacency structure — implemented by the
-  * immutable [[CSRGraph]] and by the contractible [[PeelableGraph]] used for
-  * the (2,3) graph-contraction optimization (paper §5.6).
+/** Read-only view of an undirected adjacency structure, as UPDATE's
+  * intersection kernel ([[repro.cliques.Intersect.commonNeighbors]]) reads
+  * it — implemented by the immutable [[CSRGraph]] and by the contractible
+  * [[PeelableGraph]] used for the (2,3) graph-contraction optimization
+  * (paper §5.6). The neighbors of `v` are
+  * `adjArray(v)(adjFrom(v) until adjFrom(v) + degree(v))`, sorted ascending.
   */
 trait Adjacency extends Serializable {
   def n: Int
   def degree(v: Int): Int
-  def foreachNeighbor(v: Int)(f: Int => Unit): Unit
-  def hasEdge(v: Int, u: Int): Boolean
+  /** The array holding `v`'s neighbors (shared, never copied). */
+  def adjArray(v: Int): Array[Int]
+  /** Index in [[adjArray]]`(v)` of `v`'s first neighbor. */
+  def adjFrom(v: Int): Int
 }
 
 /** Immutable simple undirected graph in compressed sparse row form.
@@ -25,6 +31,8 @@ final class CSRGraph(val offsets: Array[Int], val adj: Array[Int]) extends Adjac
   val m: Long = adj.length / 2L
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
+  def adjArray(v: Int): Array[Int] = adj
+  def adjFrom(v: Int): Int = offsets(v)
 
   /** Iterates neighbors of `v` without allocation. */
   def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {
@@ -142,18 +150,6 @@ final class DirectedGraph(
   /** Writes the intersection of sorted `cand(0 until candLen)` with the
     * out-neighbors of `v` into `out`, returning the intersection size.
     */
-  def intersectOut(cand: Array[Int], candLen: Int, v: Int, out: Array[Int]): Int = {
-    var i = 0
-    var j = offsets(v)
-    val jHi = offsets(v + 1)
-    var k = 0
-    while (i < candLen && j < jHi) {
-      val a = cand(i)
-      val b = adj(j)
-      if (a == b) { out(k) = a; k += 1; i += 1; j += 1 }
-      else if (a < b) i += 1
-      else j += 1
-    }
-    k
-  }
+  def intersectOut(cand: Array[Int], candLen: Int, v: Int, out: Array[Int]): Int =
+    Intersect.intersect(cand, 0, candLen, adj, offsets(v), outDegree(v), out)
 }

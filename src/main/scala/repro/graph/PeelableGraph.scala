@@ -25,26 +25,8 @@ final class PeelableGraph(g: CSRGraph) extends Adjacency {
 
   def degree(v: Int): Int = len(v)
 
-  def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {
-    val a = adjArr(v)
-    val l = len(v)
-    var i = 0
-    while (i < l) { f(a(i)); i += 1 }
-  }
-
-  def hasEdge(v: Int, u: Int): Boolean = {
-    val a = adjArr(v)
-    var lo = 0
-    var hi = len(v) - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      val x = a(mid)
-      if (x == u) return true
-      else if (x < u) lo = mid + 1
-      else hi = mid - 1
-    }
-    false
-  }
+  def adjArray(v: Int): Array[Int] = adjArr(v)
+  def adjFrom(v: Int): Int = 0
 
   /** Records that the edges in `peeledPairs` (flattened u,v pairs) were
     * peeled this round, and contracts if the §5.6 heuristics fire: peeled

@@ -68,4 +68,12 @@ class UpdateAggregatorSpec extends SparkSpec {
     Par.forRange(0, 50000)(i => agg.offer(i))
     assert(agg.drain().length === 50000)
   }
+
+  test("list-buffer: a pool above its thread limit is rejected with the limit named") {
+    val limit = ListBufferAggregator.MaxThreads
+    Par.withThreads(limit)(new ListBufferAggregator(10))
+    val e = Par.withThreads(limit + 1)(intercept[IllegalArgumentException](new ListBufferAggregator(10)))
+    assert(e.getMessage.contains(s"at most $limit threads"))
+    assert(e.getMessage.contains(s"the pool has ${limit + 1}"))
+  }
 }

@@ -126,8 +126,8 @@ class GraphSpec extends SparkSpec {
     val g = TestGraphs.paperFigure1
     val pg = new PeelableGraph(g)
     for (v <- 0 until g.n) {
-      assert(pg.degree(v) === g.degree(v))
-      for (u <- 0 until g.n) assert(pg.hasEdge(v, u) === g.hasEdge(v, u))
+      assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq)
+      assert(TestGraphs.liveNeighbors(g, v) === g.neighbors(v).toSeq)
     }
   }
 
@@ -135,19 +135,22 @@ class GraphSpec extends SparkSpec {
     val g = CSRGraph.complete(10) // n=10, m=45; threshold = 20 peeled edges
     val pg = new PeelableGraph(g)
     val peeled = scala.collection.mutable.Set[(Int, Int)]()
+    def isPeeled(a: Int, b: Int): Boolean = peeled.contains((math.min(a, b), math.max(a, b)))
     def peelBatch(pairs: Seq[(Int, Int)]): Boolean = {
       pairs.foreach { case (u, v) => peeled += ((math.min(u, v), math.max(u, v))) }
       val flat = pairs.flatMap { case (u, v) => Seq(u, v) }.toArray
-      pg.notePeeled(flat, pairs.length) { (a, b) =>
-        peeled.contains((math.min(a, b), math.max(a, b)))
-      }
+      pg.notePeeled(flat, pairs.length)(isPeeled)
     }
     val all = (for (u <- 0 until 10; v <- u + 1 until 10) yield (u, v)).toSeq
     assert(!peelBatch(all.take(10)))  // 10 < 20: no contraction
     assert(pg.contractions === 0)
+    for (v <- 0 until g.n) assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq)
     assert(peelBatch(all.slice(10, 35))) // 35 >= 20: contraction fires
     assert(pg.contractions === 1)
-    // vertices that lost >= 1/4 of neighbors now exclude peeled edges
-    for ((u, v) <- all.take(10)) assert(!pg.hasEdge(u, v) || pg.degree(u) > 0)
+    // every vertex lost >= 9/4 of its 9 neighbors, so every list is filtered
+    // down to exactly its unpeeled neighbors, still sorted
+    for (v <- 0 until g.n)
+      assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq.filterNot(isPeeled(v, _)), s"v=$v")
+    assert(TestGraphs.liveNeighbors(pg, 0).isEmpty && TestGraphs.liveNeighbors(pg, 9) === Seq(5, 6, 7, 8))
   }
 }

@@ -1,6 +1,6 @@
 package repro.testutil
 
-import repro.graph.CSRGraph
+import repro.graph.{Adjacency, CSRGraph}
 import scala.util.Random
 
 /** Deterministic small graphs for correctness tests. */
@@ -16,6 +16,12 @@ object TestGraphs {
     val g = Seq((2, 6), (3, 6))
     CSRGraph.fromEdges(k5 ++ f ++ g, 7)
   }
+
+  /** The live neighbors of `v`: the slice of [[Adjacency.adjArray]] the
+    * intersection kernel reads.
+    */
+  def liveNeighbors(g: Adjacency, v: Int): Seq[Int] =
+    g.adjArray(v).slice(g.adjFrom(v), g.adjFrom(v) + g.degree(v)).toSeq
 
   /** Erdős–Rényi G(n, p), deterministic in seed. */
   def random(n: Int, p: Double, seed: Long): CSRGraph = {
