@@ -334,7 +334,12 @@ object ArbNucleusDecomp {
     val nonEmpty = buffers.asScala.filter(_.size > 0).toArray
     // order blocks by their first clique's first vertex (disjoint root ranges)
     val ordered = nonEmpty.sortBy(b => b(0))
-    val total = ordered.map(_.size).sum
+    val totalSlots = ordered.iterator.map(_.size.toLong).sum
+    require(
+      totalSlots <= Int.MaxValue,
+      s"${totalSlots / r} r-cliques × r = $r: $totalSlots slots exceed an Int array"
+    )
+    val total = totalSlots.toInt
     val flat = new Array[Int](total)
     var off = 0
     ordered.foreach { b =>

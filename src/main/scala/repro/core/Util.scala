@@ -79,7 +79,7 @@ final class LongIntOpenMap(expected: Int) {
 
 object Util {
   def nextPow2(x: Int): Int = {
-    require(x <= (1 << 30), s"capacity too large: $x")
+    require(x <= (1 << 30), s"capacity $x exceeds nextPow2's limit of 2^30")
     var p = 1
     while (p < x) p <<= 1
     p

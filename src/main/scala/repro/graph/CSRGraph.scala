@@ -90,34 +90,78 @@ object CSRGraph {
 
   /** Builds a CSR graph from an arbitrary edge list. Self loops are dropped,
     * parallel/duplicate and reversed duplicates are collapsed; `n` is
-    * inferred as 1 + max vertex id unless given.
+    * inferred as 1 + max vertex id unless given. Packs each edge as a
+    * [[fromPackedEdges]] key, which does the rest.
     */
   def fromEdges(edges: Iterable[(Int, Int)], numVertices: Int = -1): CSRGraph = {
-    val canon = edges.iterator
-      .filter { case (u, v) => u != v }
-      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
-      .toArray
-      .distinct
-    val n =
-      if (numVertices >= 0) numVertices
-      else if (canon.isEmpty) 0
-      else canon.iterator.map(e => math.max(e._1, e._2)).max + 1
-    require(canon.forall(e => e._1 >= 0 && e._2 < n), "vertex id out of range")
+    val keys = new scala.collection.mutable.ArrayBuilder.ofLong
+    if (edges.knownSize > 0) keys.sizeHint(edges.knownSize)
+    var maxId = -1
+    val it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      if (e._1 != e._2) {
+        val u = math.min(e._1, e._2)
+        val v = math.max(e._1, e._2)
+        require(u >= 0, s"vertex id $u is negative")
+        keys += packEdge(u, v)
+        if (v > maxId) maxId = v
+      }
+    }
+    val packed = keys.result()
+    fromPackedEdges(packed, packed.length, if (numVertices >= 0) numVertices else maxId + 1)
+  }
+
+  /** The key of undirected edge {u, v} with `0 <= u < v`: `u` in the high
+    * word, `v` in the low word, so keys sort by (u, v).
+    */
+  @inline def packEdge(u: Int, v: Int): Long = (u.toLong << 32) | v
+
+  /** Builds a CSR graph on `n` vertices from packed edge keys
+    * ([[packEdge]], `0 <= u < v < n`) in `keys(0 until len)`, which may hold
+    * duplicates in any order. Sorts that range in place with one primitive
+    * sort, drops adjacent duplicates, counts degrees, then fills `adj` in one
+    * pass.
+    */
+  def fromPackedEdges(keys: Array[Long], len: Int, n: Int): CSRGraph = {
+    require(n >= 0, s"vertex count $n is negative")
+    require(len >= 0 && len <= keys.length, s"key count $len outside [0, ${keys.length}]")
+    Par.sortLongs(keys, 0, len)
     val deg = new Array[Int](n)
-    canon.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
+    var m = 0
+    var i = 0
+    while (i < len) {
+      val key = keys(i)
+      if (m == 0 || key != keys(m - 1)) {
+        val u = key >>> 32
+        val v = key & 0xFFFFFFFFL
+        require(u < v, f"edge key $key%016x is not (u << 32) | v with u < v")
+        require(v < n, s"vertex id $v out of range for n = $n")
+        deg(u.toInt) += 1
+        deg(v.toInt) += 1
+        keys(m) = key
+        m += 1
+      }
+      i += 1
+    }
+    require(2L * m <= Int.MaxValue, s"m = $m edges: 2·m exceeds Int.MaxValue, the limit of Int CSR offsets")
     val offsets = new Array[Int](n + 1)
-    var acc = 0
     var v = 0
-    while (v < n) { offsets(v) = acc; acc += deg(v); v += 1 }
-    offsets(n) = acc
+    while (v < n) { offsets(v + 1) = offsets(v) + deg(v); v += 1 }
+    // Keys are sorted by (u, v), so each vertex first receives its smaller
+    // neighbours in ascending order (as the v of their keys), then its larger
+    // ones in ascending order (as their u): every list comes out sorted, with
+    // no per-vertex sort.
     val cursor = java.util.Arrays.copyOf(offsets, n)
-    val adj = new Array[Int](acc)
-    canon.foreach { case (u, w) =>
+    val adj = new Array[Int](2 * m)
+    i = 0
+    while (i < m) {
+      val u = (keys(i) >>> 32).toInt
+      val w = keys(i).toInt
       adj(cursor(u)) = w; cursor(u) += 1
       adj(cursor(w)) = u; cursor(w) += 1
+      i += 1
     }
-    var x = 0
-    while (x < n) { java.util.Arrays.sort(adj, offsets(x), offsets(x + 1)); x += 1 }
     new CSRGraph(offsets, adj)
   }
 

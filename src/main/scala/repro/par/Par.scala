@@ -71,6 +71,17 @@ object Par {
     }
   }
 
+  /** Sorts `a(lo until hi)` in place with the JDK's parallel sort, run in
+    * [[pool]] so that a [[withThreads]] scope bounds it like every loop.
+    */
+  def sortLongs(a: Array[Long], lo: Int, hi: Int): Unit = {
+    val p = pool
+    if (p.getParallelism <= 1) java.util.Arrays.sort(a, lo, hi)
+    else p.invoke(new RecursiveAction {
+      override def compute(): Unit = java.util.Arrays.parallelSort(a, lo, hi)
+    })
+  }
+
   /** Parallel loop that hands each worker a contiguous block [blockLo,
     * blockHi); useful when per-iteration state (scratch buffers) should be
     * allocated once per block rather than once per element.

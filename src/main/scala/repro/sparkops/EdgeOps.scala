@@ -1,5 +1,6 @@
 package repro.sparkops
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.graph.CSRGraph
@@ -41,29 +42,55 @@ object EdgeOps {
     if (row.isNullAt(0)) (0L, 0L) else (row.getLong(0) + 1, row.getLong(1))
   }
 
-  /** Collects a canonical edge list into an in-memory CSR graph for the
-    * shared-memory core. Vertex ids must fit in Int.
+  /** Collects an edge DataFrame (columns src, dst; canonical or not) into
+    * an in-memory CSR graph for the shared-memory core, with `n` = 1 + the
+    * largest vertex id. Spark orients each edge as (least, greatest), drops
+    * self loops and packs the pair into one `long` ([[CSRGraph.packEdge]]);
+    * each partition comes back as a single `Array[Long]`, and after the
+    * collect [[CSRGraph.fromPackedEdges]] dedups and builds in one sort. So
+    * no shuffle runs, and duplicates cost one collected key each.
+    * A vertex id that is negative or above `Int.MaxValue` throws an
+    * `IllegalArgumentException` naming it.
     */
-  def toCSR(canonical: DataFrame): CSRGraph = {
-    val rows = canonical.select(col("src"), col("dst")).collect()
-    val edges = new Array[(Int, Int)](rows.length)
-    var i = 0
+  def toCSR(edges: DataFrame): CSRGraph = {
+    val u = least(col("src"), col("dst")).cast("long")
+    val v = greatest(col("src"), col("dst")).cast("long")
+    val oriented = edges.select(u, v).where(u =!= v)
+    val parts =
+      try {
+        oriented.queryExecution.toRdd.mapPartitions { rows =>
+          val keys = new scala.collection.mutable.ArrayBuilder.ofLong
+          rows.foreach { row =>
+            val a = row.getLong(0)
+            val b = row.getLong(1)
+            if (a < 0) throw new IllegalArgumentException(s"vertex id $a is negative")
+            if (b > Int.MaxValue) throw new IllegalArgumentException(s"vertex id $b exceeds Int.MaxValue")
+            keys += CSRGraph.packEdge(a.toInt, b.toInt)
+          }
+          Iterator.single(keys.result())
+        }.collect()
+      } catch {
+        // rethrow the id check as itself, not wrapped in Spark's task failure
+        case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause
+      }
+    val total = parts.iterator.map(_.length.toLong).sum
+    require(total <= Int.MaxValue, s"$total edge rows do not fit in one array")
+    val keys = new Array[Long](total.toInt)
+    var off = 0
+    parts.foreach { p => System.arraycopy(p, 0, keys, off, p.length); off += p.length }
     var maxId = -1
-    while (i < rows.length) {
-      val u = rows(i).getLong(0)
-      val v = rows(i).getLong(1)
-      require(u <= Int.MaxValue && v <= Int.MaxValue, "vertex id exceeds Int range")
-      edges(i) = (u.toInt, v.toInt)
-      if (v.toInt > maxId) maxId = v.toInt
-      if (u.toInt > maxId) maxId = u.toInt
-      i += 1
-    }
-    CSRGraph.fromEdges(edges, maxId + 1)
+    var i = 0
+    while (i < keys.length) { val w = keys(i).toInt; if (w > maxId) maxId = w; i += 1 }
+    CSRGraph.fromPackedEdges(keys, keys.length, maxId + 1)
   }
 
-  /** One-call pipeline: generate/ingest → canonicalize → CSR. */
+  /** One-call pipeline: generated/ingested raw edges → CSR. No
+    * [[canonicalize]]: [[toCSR]] orients the raw rows and the sort after
+    * its collect dedups them, which is cheaper than Spark's `distinct`
+    * shuffle.
+    */
   def csrOf(spark: SparkSession, rawEdges: DataFrame): CSRGraph = {
     val _ = spark
-    toCSR(canonicalize(rawEdges))
+    toCSR(rawEdges)
   }
 }

@@ -91,6 +91,12 @@ class CliqueTableSpec extends SparkSpec {
     assert(!CliqueTable.feasible(MultiLevel(5), 4, n)) // ℓ > r
   }
 
+  test("nextPow2 rounds up and names its 2^30 limit") {
+    assert(Util.nextPow2(1) === 1 && Util.nextPow2(5) === 8 && Util.nextPow2(1 << 30) === (1 << 30))
+    val e = intercept[IllegalArgumentException](Util.nextPow2((1 << 30) + 1))
+    assert(e.getMessage.contains(s"capacity ${(1 << 30) + 1} exceeds nextPow2's limit of 2^30"))
+  }
+
   test("two-level saves key words over one-level on overlapping cliques (§5.1)") {
     val g = TestGraphs.complete(10) // heavy prefix overlap
     val (flat, num) = sortedFlat(g, 3)

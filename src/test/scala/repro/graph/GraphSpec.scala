@@ -14,6 +14,75 @@ class GraphSpec extends SparkSpec {
     assert(g.neighbors(2).toSeq === Seq(0))
   }
 
+  /** Asserts `g` is the simple graph on `n` vertices with edge set `expected`
+    * (pairs u < v): every list strictly ascending, every edge in both lists.
+    */
+  private def assertGraph(g: CSRGraph, n: Int, expected: Set[(Int, Int)]): Unit = {
+    assert(g.n === n)
+    assert(g.m === expected.size.toLong)
+    assert(g.offsets.length === n + 1 && g.adj.length === 2 * expected.size)
+    val seen = (0 until n).flatMap { v =>
+      val ns = g.neighbors(v)
+      assert(ns.indices.drop(1).forall(i => ns(i - 1) < ns(i)), s"N($v) not strictly ascending")
+      ns.map { u =>
+        assert(g.hasEdge(u, v), s"edge $v-$u is not symmetric")
+        (math.min(u, v), math.max(u, v))
+      }
+    }
+    assert(seen.toSet === expected)
+  }
+
+  test("fromEdges equals a brute-force edge set on random multigraphs") {
+    val rnd = new scala.util.Random(17)
+    for (trial <- 0 until 40) {
+      val ids = 1 + rnd.nextInt(30)
+      val raw = Seq.fill(rnd.nextInt(120)) {
+        val u = rnd.nextInt(ids)
+        rnd.nextInt(6) match {
+          case 0 => (u, u) // self loop
+          case _ => (u, rnd.nextInt(ids))
+        }
+      }
+      // reversed duplicates of some edges
+      val edges = raw ++ raw.filter(_ => rnd.nextBoolean()).map(_.swap)
+      val expected = edges.collect { case (u, v) if u != v => (math.min(u, v), math.max(u, v)) }.toSet
+      val inferred = if (expected.isEmpty) 0 else expected.map(_._2).max + 1
+      assertGraph(CSRGraph.fromEdges(edges), inferred, expected)
+      val padded = inferred + rnd.nextInt(4) // n > max id + 1 adds isolated vertices
+      assertGraph(CSRGraph.fromEdges(rnd.shuffle(edges), padded), padded, expected)
+    }
+  }
+
+  test("fromEdges handles the empty graph and a single vertex") {
+    assertGraph(CSRGraph.fromEdges(Nil), 0, Set.empty)
+    assertGraph(CSRGraph.fromEdges(Seq((0, 0))), 0, Set.empty)
+    assertGraph(CSRGraph.fromEdges(Nil, 1), 1, Set.empty)
+    assertGraph(CSRGraph.fromEdges(Seq((0, 0)), 1), 1, Set.empty)
+    assertGraph(CSRGraph.fromEdges(Nil, 3), 3, Set.empty)
+  }
+
+  test("fromPackedEdges sorts and dedups unsorted duplicated keys") {
+    val pairs = Seq((3, 4), (0, 2), (1, 4), (0, 2), (2, 3), (0, 1), (3, 4), (1, 4), (0, 4))
+    val keys = pairs.map { case (u, v) => CSRGraph.packEdge(u, v) }.toArray :+ -1L // past len
+    val g = CSRGraph.fromPackedEdges(keys, pairs.length, 6)
+    assertGraph(g, 6, pairs.toSet)
+    assert(g.neighbors(4).toSeq === Seq(0, 1, 3))
+    val ref = CSRGraph.fromEdges(pairs, 6)
+    assert(g.offsets.toSeq === ref.offsets.toSeq && g.adj.toSeq === ref.adj.toSeq)
+  }
+
+  test("fromEdges and fromPackedEdges name out-of-range ids") {
+    val neg = intercept[IllegalArgumentException](CSRGraph.fromEdges(Seq((0, 1), (2, -3))))
+    assert(neg.getMessage.contains("vertex id -3 is negative"))
+    val big = intercept[IllegalArgumentException](CSRGraph.fromEdges(Seq((0, 1), (7, 2)), 5))
+    assert(big.getMessage.contains("vertex id 7 out of range for n = 5"))
+    val packed = intercept[IllegalArgumentException](
+      CSRGraph.fromPackedEdges(Array(CSRGraph.packEdge(1, 9), CSRGraph.packEdge(0, 1)), 2, 9)
+    )
+    assert(packed.getMessage.contains("vertex id 9 out of range for n = 9"))
+    intercept[IllegalArgumentException](CSRGraph.fromPackedEdges(Array(CSRGraph.packEdge(2, 1)), 1, 3))
+  }
+
   test("degree and hasEdge agree with adjacency") {
     val g = TestGraphs.paperFigure1
     assert(g.degree(0) === 5) // a: b,c,d,e,f

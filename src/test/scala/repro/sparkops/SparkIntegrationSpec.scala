@@ -1,11 +1,12 @@
 package repro.sparkops
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.RefNucleus
 import repro.cliques.RecListCliques
 import repro.core.ArbNucleusDecomp
-import repro.graph.Orientation
+import repro.graph.{CSRGraph, Orientation}
 import repro.sparkgen.GraphGen
 import repro.testutil.TestGraphs
 
@@ -86,6 +87,38 @@ class SparkIntegrationSpec extends SparkSpec {
     val g2 = repro.graph.CSRGraph.fromEdges(pairs, 5)
     assert(g1.n === g2.n && g1.m === g2.m)
     for (v <- 0 until g1.n) assert(g1.neighbors(v).toSeq === g2.neighbors(v).toSeq)
+  }
+
+  private def assertSameCSR(a: CSRGraph, b: CSRGraph): Unit = {
+    assert(a.offsets.toSeq === b.offsets.toSeq)
+    assert(a.adj.toSeq === b.adj.toSeq)
+  }
+
+  private def collectPairs(df: DataFrame): Seq[(Int, Int)] =
+    df.select("src", "dst").collect().toSeq.map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+
+  for ((name, raw) <- Seq[(String, () => DataFrame)](
+      "rmatEdges(10, 8)" -> (() => GraphGen.rmatEdges(spark, 10, 8, seed = 4)),
+      "a hand frame with duplicates, self loops and reversals" ->
+        (() => edgesDf(Seq((5, 1), (1, 5), (1, 5), (2, 2), (0, 3), (3, 0), (7, 7), (4, 2), (2, 4), (6, 0))))
+    )) {
+    test(s"csrOf equals toCSR(canonicalize) and fromEdges on $name") {
+      val df = raw()
+      val g = EdgeOps.csrOf(spark, df)
+      assertSameCSR(g, EdgeOps.toCSR(EdgeOps.canonicalize(df)))
+      assertSameCSR(g, CSRGraph.fromEdges(collectPairs(df)))
+      assertSameCSR(g, EdgeOps.csrOf(spark, df.repartition(1)))
+      assertSameCSR(g, EdgeOps.csrOf(spark, df.repartition(7)))
+    }
+  }
+
+  test("toCSR rejects negative and too-large vertex ids, naming them") {
+    val neg = intercept[IllegalArgumentException](EdgeOps.toCSR(edgesDf(Seq((0, 1), (-4, 2)))))
+    assert(neg.getMessage.contains("vertex id -4 is negative"))
+    import spark.implicits._
+    val tooBig = Seq((0L, 1L), (2L, Int.MaxValue.toLong + 1)).toDF("src", "dst")
+    val big = intercept[IllegalArgumentException](EdgeOps.toCSR(tooBig))
+    assert(big.getMessage.contains(s"vertex id ${Int.MaxValue.toLong + 1} exceeds Int.MaxValue"))
   }
 
   test("sizeStats reports n and m") {
