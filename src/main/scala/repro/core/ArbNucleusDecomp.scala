@@ -77,6 +77,8 @@ final class NucleusResult(
   * the minimum slot performs the full −1 decrement. Both schemes enumerate
   * the peeled subsets anyway (the paper's line 7 computes a), end-of-round
   * counts are identical, and integer atomics avoid floating-point hazards.
+  * A second one: UPDATE skips a peeled r-clique whose count is 0, because
+  * every s-clique it would find was already destroyed in an earlier round.
   * See DESIGN.md "Fidelity substitutions".
   */
 object ArbNucleusDecomp {
@@ -151,18 +153,22 @@ object ArbNucleusDecomp {
       val (k, ids) = nb
       round += 1
       val thisRound = round
-      var i = 0
-      while (i < ids.length) {
-        core(ids(i)) = k
-        peeledRound(ids(i)) = thisRound
-        i += 1
+      val expected = new LongAdder
+      Par.forBlocked(0, ids.length) { (blo, bhi) =>
+        var sum = 0L
+        var i = blo
+        while (i < bhi) {
+          val slot = ids(i)
+          core(slot) = k
+          peeledRound(slot) = thisRound
+          sum += table.count(slot)
+          i += 1
+        }
+        expected.add(sum)
       }
       finished += ids.length
       if (finished < numR) {
-        var expected = 0L
-        i = 0
-        while (i < ids.length) { expected += table.count(ids(i)); i += 1 }
-        agg.beginRound(expected * math.max(1, numSubsets - 1))
+        agg.beginRound(expected.sum() * math.max(1, numSubsets - 1))
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
@@ -171,31 +177,37 @@ object ArbNucleusDecomp {
           var idx = blo
           while (idx < bhi) {
             val slot = ids(idx)
-            table.cliqueOf(slot, sc.vsR)
-            localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
-              // classify the C(s,r) subsets of this s-clique
-              var abort = false
-              var minA = Int.MaxValue
-              var j = 0
-              while (!abort && j < numSubsets) {
-                val sl = table.slotOf(sc.subsets(sBuf, j))
-                subsetSlots(j) = sl
-                val pr = peeledRound(sl)
-                if (pr < thisRound) abort = true // s-clique destroyed earlier
-                else if (pr == thisRound && sl < minA) minA = sl
-                j += 1
-              }
-              // the minimum peeled subset is the round's sole representative
-              // for this s-clique (substitute for the paper's 1/a fractions)
-              if (!abort && minA == slot) {
-                j = 0
-                while (j < numSubsets) {
-                  val sl = subsetSlots(j)
-                  if (peeledRound(sl) > thisRound) {
-                    table.addCount(sl, -1L)
-                    agg.offer(sl)
-                  }
+            // count(slot) is the number of s-cliques through slot with no
+            // r-subset peeled in an earlier round, and slots peeled this
+            // round are never decremented in it. So at 0 every incident
+            // s-clique would abort: skip UPDATE.
+            if (table.count(slot) != 0L) {
+              table.cliqueOf(slot, sc.vsR)
+              localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
+                // classify the C(s,r) subsets of this s-clique
+                var abort = false
+                var minA = Int.MaxValue
+                var j = 0
+                while (!abort && j < numSubsets) {
+                  val sl = table.slotOf(sc.subsets(sBuf, j))
+                  subsetSlots(j) = sl
+                  val pr = peeledRound(sl)
+                  if (pr < thisRound) abort = true // s-clique destroyed earlier
+                  else if (pr == thisRound && sl < minA) minA = sl
                   j += 1
+                }
+                // the minimum peeled subset is the round's sole representative
+                // for this s-clique (substitute for the paper's 1/a fractions)
+                if (!abort && minA == slot) {
+                  j = 0
+                  while (j < numSubsets) {
+                    val sl = subsetSlots(j)
+                    if (peeledRound(sl) > thisRound) {
+                      table.addCount(sl, -1L)
+                      agg.offer(sl)
+                    }
+                    j += 1
+                  }
                 }
               }
             }
@@ -212,14 +224,16 @@ object ArbNucleusDecomp {
         }
 
         if (peelable != null) {
-          val vsPair = new Array[Int](2)
           val pairs = new Array[Int](2 * ids.length)
-          i = 0
-          while (i < ids.length) {
-            table.cliqueOf(ids(i), vsPair)
-            pairs(2 * i) = vsPair(0)
-            pairs(2 * i + 1) = vsPair(1)
-            i += 1
+          Par.forBlocked(0, ids.length) { (blo, bhi) =>
+            val vsPair = new Array[Int](2)
+            var i = blo
+            while (i < bhi) {
+              table.cliqueOf(ids(i), vsPair)
+              pairs(2 * i) = vsPair(0)
+              pairs(2 * i + 1) = vsPair(1)
+              i += 1
+            }
           }
           // isPeeled runs from parallel filter workers — per-call scratch only
           peelable.notePeeled(pairs, ids.length) { (a, b) =>
@@ -355,7 +369,7 @@ object ArbNucleusDecomp {
       val keys = new Array[Long](num)
       var i = 0
       while (i < num) { keys(i) = enc.pack(flat, i * r, r); i += 1 }
-      java.util.Arrays.sort(keys)
+      Par.sortLongs(keys, 0, num)
       val out = new Array[Int](total)
       i = 0
       while (i < num) { enc.unpack(keys(i), r, out, i * r); i += 1 }

@@ -153,7 +153,10 @@ object ListBufferAggregator {
   * never overflow.
   */
 final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
-  require(capacity <= (1 << 29), s"aggregator capacity too large: $capacity")
+  require(
+    capacity <= HashTableAggregator.MaxCapacity,
+    s"hash-table aggregator supports at most 2^29 = ${HashTableAggregator.MaxCapacity} slots, got capacity $capacity"
+  )
   private val maxCap = Util.nextPow2(math.max(64, 2 * capacity))
   private val table = new java.util.concurrent.atomic.AtomicLongArray(maxCap)
   private var mask = 63
@@ -185,14 +188,38 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
     }
   }
 
+  /** Scans the probe region in parallel blocks of
+    * [[HashTableAggregator.DrainBlock]] cells; the slots come out in cell
+    * order, as a sequential scan would give them.
+    */
   def drain(): Array[Int] = {
-    val out = new IntBuffer(math.max(16, inserted.get().toInt))
-    var i = 0
-    while (i <= mask) {
-      val v = table.get(i)
-      if ((v >>> 32) == round) out += (v & 0xFFFFFFFFL).toInt
-      i += 1
+    import HashTableAggregator.DrainBlock
+    val size = mask + 1
+    val numBlocks = (size + DrainBlock - 1) / DrainBlock
+    val parts = new Array[Array[Int]](numBlocks)
+    Par.forRange(0, numBlocks, grain = 1) { b =>
+      val hi = math.min(size, (b + 1) * DrainBlock)
+      val part = new IntBuffer()
+      var i = b * DrainBlock
+      while (i < hi) {
+        val v = table.get(i)
+        if ((v >>> 32) == round) part += (v & 0xFFFFFFFFL).toInt
+        i += 1
+      }
+      parts(b) = part.toArray
     }
-    out.toArray
+    val out = new Array[Int](inserted.get().toInt)
+    var off = 0
+    parts.foreach { p => System.arraycopy(p, 0, out, off, p.length); off += p.length }
+    out
   }
+}
+
+object HashTableAggregator {
+  /** Largest capacity: the probe array holds 2 · capacity cells, and
+    * [[Util.nextPow2]] stops at 2^30.
+    */
+  val MaxCapacity: Int = 1 << 29
+  /** Probe-region cells one drain task scans. */
+  val DrainBlock: Int = 1 << 13
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.baselines.RefNucleus
-import repro.graph.Orientation
+import repro.graph.{CSRGraph, Orientation}
 import repro.testutil.TestGraphs
 
 /** ARB-NUCLEUS-DECOMP against the brute-force reference, across graphs,
@@ -131,11 +131,54 @@ class ArbNucleusSpec extends SparkSpec {
   }
 
   test("s-cliques absent: every r-clique has core 0 in one round") {
-    val g = TestGraphs.cycle(8) // edges but no triangles
-    val res = ArbNucleusDecomp.decompose(g, 2, 3)
-    assert(res.stats.numSCliques === 0L)
-    assert(res.coreMap.values.forall(_ == 0L))
-    assert(res.stats.rounds === 1)
+    val octahedron = CSRGraph.fromEdges(
+      for (u <- 0 until 6; v <- u + 1 until 6 if v != u + 3) yield (u, v), 6)
+    for ((g, r, s) <- Seq(
+           (TestGraphs.cycle(8), 2, 3), // edges but no triangles
+           (octahedron, 3, 4)           // eight triangles but no K4
+         )) {
+      val res = ArbNucleusDecomp.decompose(g, r, s)
+      assert(res.stats.numRCliques > 0L)
+      assert(res.stats.numSCliques === 0L)
+      assert(res.coreMap.values.forall(_ == 0L))
+      assert(res.stats.rounds === 1)
+      assert(res.stats.updateScliqueDiscoveries === 0L)
+    }
+  }
+
+  test("UPDATE skips an r-clique whose s-cliques all died in earlier rounds") {
+    // a diamond at (2,3) and a K5 minus an edge at (3,4): round 1 peels the
+    // count-1 r-cliques, each finding its one s-clique, which drops the
+    // shared edge / triangle to count 0 before round 2 peels it. A disjoint
+    // K_{s+1} is peeled in round 3, so round 2 is not the last round (the
+    // last round runs no UPDATE at all).
+    def withClique(edges: Seq[(Int, Int)], n: Int, k: Int): CSRGraph =
+      CSRGraph.fromEdges(edges ++ (for (u <- n until n + k; v <- u + 1 until n + k) yield (u, v)), n + k)
+    val diamond = withClique(Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)), 4, 4)
+    val k5MinusEdge = withClique(for (u <- 0 until 5; v <- u + 1 until 5 if (u, v) != (3, 4)) yield (u, v), 5, 5)
+    for ((g, r, s, round1) <- Seq((diamond, 2, 3, 4L), (k5MinusEdge, 3, 4, 6L))) {
+      val res = ArbNucleusDecomp.decompose(g, r, s)
+      assert(res.coreMap === RefNucleus.decompose(g, r, s).coreMap)
+      assert(res.stats.rounds === 3)
+      assert(res.stats.updateScliqueDiscoveries === round1, s"(r=$r,s=$s)")
+    }
+  }
+
+  // --- aggregator × contraction × relabel, with zero-count r-cliques --------
+  private val sweepGraphs = TestGraphs.suite ++ Seq(
+    "k5pendants1" -> TestGraphs.plantedK5WithPendants(10, 1),
+    "k5pendants2" -> TestGraphs.plantedK5WithPendants(16, 2)
+  )
+  for ((name, g) <- sweepGraphs; (r, s) <- Seq((2, 3), (2, 4), (3, 4))) {
+    test(s"aggregator × contraction × relabel sweep matches reference: $name (r=$r, s=$s)") {
+      val ref = RefNucleus.decompose(g, r, s)
+      for (agg <- aggs; contraction <- Seq(true, false); relabel <- Seq(true, false)) {
+        val cfg = NucleusConfig(aggregation = agg, contraction = contraction, relabel = relabel)
+        val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
+        assert(res.coreMap === ref.coreMap, cfg.label)
+        assert(res.stats.rounds === ref.rounds, cfg.label)
+      }
+    }
   }
 
   test("unoptimized config equals optimal config") {

@@ -62,6 +62,36 @@ class UpdateAggregatorSpec extends SparkSpec {
     assert(agg.drain().length === 10)
   }
 
+  test("hash-table: a capacity above 2^29 is rejected with the limit named") {
+    val limit = HashTableAggregator.MaxCapacity
+    val e = intercept[IllegalArgumentException](new HashTableAggregator(limit + 1))
+    assert(e.getMessage.contains(s"at most 2^29 = $limit slots"))
+    assert(e.getMessage.contains(s"got capacity ${limit + 1}"))
+  }
+
+  test("hash-table: parallel drain over many blocks reports each slot once per round") {
+    Par.withThreads(4) {
+      val agg = new HashTableAggregator(100000)
+      // a probe region of 2^17 cells, sixteen drain blocks
+      agg.beginRound(50000)
+      assert(2 * 50000 > HashTableAggregator.DrainBlock, "the region must span several blocks")
+      Par.forRange(0, 120000)(i => agg.offer((i * 7) % 40000))
+      val big = agg.drain()
+      assert(big.length === 40000)
+      assert(big.sorted.toSeq === (0 until 40000))
+      // a smaller region that still spans several blocks, over cells the
+      // larger round left stamped with its own round
+      agg.beginRound(2 * HashTableAggregator.DrainBlock)
+      Par.forRange(0, 9000)(i => agg.offer(50000 + i % 3000))
+      val small = agg.drain()
+      assert(small.sorted.toSeq === (50000 until 53000))
+      // a one-block round
+      agg.beginRound(10)
+      agg.offer(7); agg.offer(99999)
+      assert(agg.drain().sorted.toSeq === Seq(7, 99999))
+    }
+  }
+
   test("list-buffer: more threads than blocks still collects all") {
     val agg = UpdateAggregator(UpdateAggregator.ListBufferKind, 50000)
     agg.beginRound(50000)

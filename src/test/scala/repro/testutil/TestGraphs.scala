@@ -68,6 +68,40 @@ object TestGraphs {
     CSRGraph.fromEdges(a ++ b ++ tail, 13)
   }
 
+  /** A K5 on 0..4 with `pendants` small shapes hung off it, each picked by
+    * `seed`: a triangle on a K5 edge, a triangle on a K5 vertex, a diamond
+    * (two triangles sharing an edge) on a K5 vertex, or a K5 minus an edge
+    * (two K4s sharing a triangle) on a K5 vertex. The shared edge of a
+    * diamond and the shared triangle of a K5 minus an edge lose all their
+    * s-cliques in the round before they are peeled, at (2,3) and at (2,4)
+    * and (3,4) respectively.
+    */
+  def plantedK5WithPendants(pendants: Int, seed: Long): CSRGraph = {
+    val rnd = new Random(seed)
+    val k5 = for (u <- 0 to 4; v <- u + 1 to 4) yield (u, v)
+    var next = 5
+    def fresh(): Int = { next += 1; next - 1 }
+    val hung = (0 until pendants).flatMap { _ =>
+      val a = rnd.nextInt(5)
+      rnd.nextInt(4) match {
+        case 0 =>
+          val w = fresh()
+          Seq((a, w), ((a + 1 + rnd.nextInt(4)) % 5, w))
+        case 1 =>
+          val (w, x) = (fresh(), fresh())
+          Seq((a, w), (a, x), (w, x))
+        case 2 =>
+          val (w, x, y) = (fresh(), fresh(), fresh())
+          Seq((a, w), (a, x), (w, x), (w, y), (x, y))
+        case _ =>
+          val (w, x, y, z) = (fresh(), fresh(), fresh(), fresh())
+          val tri = Seq(a, w, x)
+          Seq((a, w), (a, x), (w, x)) ++ tri.map((_, y)) ++ tri.map((_, z))
+      }
+    }
+    CSRGraph.fromEdges(k5 ++ hung, next)
+  }
+
   def empty: CSRGraph = CSRGraph.fromEdges(Nil, 0)
 
   def singleEdge: CSRGraph = CSRGraph.fromEdges(Seq((0, 1)), 2)
