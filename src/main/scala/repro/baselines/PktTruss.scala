@@ -98,9 +98,9 @@ object PktTruss {
             val x = upAdj(p)
             val y = upAdj(q)
             if (x == y) {
-              supp.incrementAndGet(i)         // (a, b) is edge id i? no — i is position in upAdj of b
-              supp.incrementAndGet(q)
-              supp.incrementAndGet(p)
+              supp.incrementAndGet(i) // i is the id of edge (a, b)
+              supp.incrementAndGet(q) // (b, x)
+              supp.incrementAndGet(p) // (a, x)
               p += 1; q += 1
             } else if (x < y) p += 1
             else q += 1

@@ -154,15 +154,17 @@ object Intersect {
     * other members j, where d_min is the minimum member degree: that is
     * O(d_min · (1 + log(d_max / d_min))) for a fixed r. Lemma 4.1 charges the
     * intersection to the minimum-degree member, and this stays within that
-    * accounting up to the log factor. Adjacency is read through
-    * [[Adjacency.adjArray]] / [[Adjacency.adjFrom]]; nothing is allocated.
+    * accounting up to the log factor. Adjacency is read directly from
+    * [[Adjacency.adj]] at [[Adjacency.offsets]]; nothing is allocated.
     */
   def commonNeighbors(g: Adjacency, vs: Array[Int], len: Int, out: Array[Int]): Int = {
     require(len >= 1 && len <= 32, s"need 1 to 32 query vertices, got $len")
+    val adj = g.adj
+    val off = g.offsets
     if (len == 1) {
       val v = vs(0)
       val d = g.degree(v)
-      System.arraycopy(g.adjArray(v), g.adjFrom(v), out, 0, d)
+      System.arraycopy(adj, off(v), out, 0, d)
       return d
     }
     val ia = minDegreeIndex(g, vs, len, 0)
@@ -171,13 +173,13 @@ object Intersect {
     used |= 1 << ib
     val a = vs(ia)
     val b = vs(ib)
-    var k = intersect(g.adjArray(a), g.adjFrom(a), g.degree(a), g.adjArray(b), g.adjFrom(b), g.degree(b), out)
+    var k = intersect(adj, off(a), g.degree(a), adj, off(b), g.degree(b), out)
     var left = len - 2
     while (k > 0 && left > 0) {
       val i = minDegreeIndex(g, vs, len, used)
       used |= 1 << i
       val v = vs(i)
-      k = intersect(out, 0, k, g.adjArray(v), g.adjFrom(v), g.degree(v), out)
+      k = intersect(out, 0, k, adj, off(v), g.degree(v), out)
       left -= 1
     }
     k

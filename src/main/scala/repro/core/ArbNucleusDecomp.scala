@@ -138,7 +138,7 @@ object ArbNucleusDecomp {
 
     val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
     val peelable: PeelableGraph =
-      if (cfg.contraction && r == 2 && s == 3) new PeelableGraph(workGraph) else null
+      if (cfg.contraction && r == 2) new PeelableGraph(workGraph) else null
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
 
     val maxDeg = math.max(1, workGraph.maxDegree)
@@ -235,12 +235,7 @@ object ArbNucleusDecomp {
               i += 1
             }
           }
-          // isPeeled runs from parallel filter workers — per-call scratch only
-          peelable.notePeeled(pairs, ids.length) { (a, b) =>
-            val probe = if (a < b) Array(a, b) else Array(b, a)
-            val sl = table.slotOf(probe)
-            sl < 0 || peeledRound(sl) != Int.MaxValue
-          }
+          peelable.notePeeled(pairs, ids.length)
         }
       }
     }

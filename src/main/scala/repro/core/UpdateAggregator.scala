@@ -81,7 +81,8 @@ final class SimpleArrayAggregator(capacity: Int) extends UpdateAggregator {
   *
   * The array holds every slot once plus less than one block per offering
   * thread, for at most [[ListBufferAggregator.MaxThreads]] threads: the
-  * constructor rejects a larger [[Par]] pool, and a round whose
+  * constructor rejects a larger [[Par]] pool or a capacity whose array
+  * would not fit an Int index, and a round whose
   * blocks still overrun (more threads than that offered) fails with an
   * IllegalStateException naming the limit.
   */
@@ -90,6 +91,10 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
   require(
     Par.parallelism <= MaxThreads,
     s"list-buffer aggregator supports at most $MaxThreads threads, the pool has ${Par.parallelism}"
+  )
+  require(
+    capacity.toLong + MaxThreads.toLong * blockSize <= Int.MaxValue,
+    s"list-buffer aggregator capacity $capacity exceeds its limit ${Int.MaxValue - MaxThreads.toLong * blockSize} = Int.MaxValue - ${MaxThreads}·$blockSize"
   )
   private val stamps = new RoundStamp(capacity)
   // worst case: every slot updated once, each thread wasting < blockSize

@@ -3,20 +3,18 @@ package repro.graph
 import repro.cliques.Intersect
 import repro.par.Par
 
-/** Read-only view of an undirected adjacency structure, as UPDATE's
-  * intersection kernel ([[repro.cliques.Intersect.commonNeighbors]]) reads
-  * it — implemented by the immutable [[CSRGraph]] and by the contractible
-  * [[PeelableGraph]] used for the (2,3) graph-contraction optimization
-  * (paper §5.6). The neighbors of `v` are
-  * `adjArray(v)(adjFrom(v) until adjFrom(v) + degree(v))`, sorted ascending.
+/** Read-only view of an undirected adjacency structure in CSR layout, as
+  * UPDATE's intersection kernel ([[repro.cliques.Intersect.commonNeighbors]])
+  * reads it — implemented by the immutable [[CSRGraph]] and by the
+  * contractible [[PeelableGraph]] used for the r = 2 graph-contraction
+  * optimization (paper §5.6). The neighbors of `v` are
+  * `adj(offsets(v) until offsets(v) + degree(v))`, sorted ascending.
   */
 trait Adjacency extends Serializable {
   def n: Int
+  def offsets: Array[Int]
+  def adj: Array[Int]
   def degree(v: Int): Int
-  /** The array holding `v`'s neighbors (shared, never copied). */
-  def adjArray(v: Int): Array[Int]
-  /** Index in [[adjArray]]`(v)` of `v`'s first neighbor. */
-  def adjFrom(v: Int): Int
 }
 
 /** Immutable simple undirected graph in compressed sparse row form.
@@ -31,8 +29,6 @@ final class CSRGraph(val offsets: Array[Int], val adj: Array[Int]) extends Adjac
   val m: Long = adj.length / 2L
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
-  def adjArray(v: Int): Array[Int] = adj
-  def adjFrom(v: Int): Int = offsets(v)
 
   /** Iterates neighbors of `v` without allocation. */
   def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {

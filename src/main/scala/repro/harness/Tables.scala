@@ -173,7 +173,7 @@ object Tables {
         "relabel" -> base.copy(relabel = true),
         "list-buffer" -> base.copy(aggregation = UpdateAggregator.ListBufferKind),
         "hash-table" -> base.copy(aggregation = UpdateAggregator.HashTableKind)
-      ) ++ (if (r == 2 && s == 3) Seq("contraction" -> base.copy(contraction = true)) else Nil)
+      ) ++ (if (r == 2) Seq("contraction" -> base.copy(contraction = true)) else Nil)
       val header = Seq("graph", "base ms") ++ opts.map(_._1)
       val rows = names.map { name =>
         val g = graph(spark, name)
@@ -201,9 +201,10 @@ object Tables {
   ): String = {
     val out = new StringBuilder
     for ((r, s) <- rs) {
+      val truss = (r, s) == (2, 3) // PKT computes k-truss, the (2,3) case only
       val header = Seq(
         "graph", "ARB (ms)", "ARB-1T", "ND", "PND", "AND", "AND-NN"
-      ) ++ (if (r == 2 && s == 3) Seq("PKT") else Nil) ++
+      ) ++ (if (truss) Seq("PKT") else Nil) ++
         Seq("PND/ARB rounds", "AND/ARB s-cliques", "AND-NN/ARB s-cliques")
       val rows = names.map { name =>
         val g = graph(spark, name)
@@ -221,7 +222,7 @@ object Tables {
         and.foreach { case (res, _) => require(res.maxCore == arb.maxCore, s"AND diverged on $name") }
         def slow(o: Option[(_, Double)]): String = o.map(t => fmt(t._2 / arbMs) + "x").getOrElse("—")
         val pktCell =
-          if (r == 2 && s == 3) {
+          if (truss) {
             val (pkt, pktMs) = timeMs(2)(PktTruss.run(g))
             require(pkt.maxCore == arb.maxCore, s"PKT diverged on $name")
             Seq(fmt(pktMs / arbMs) + "x")

@@ -45,15 +45,6 @@ object GraphGen {
       .select(srcExpr.cast(LongType).as("src"), dstExpr.cast(LongType).as("dst"))
   }
 
-  /** Erdős–Rényi-ish edges: `rows` random pairs over n vertices. */
-  def uniformEdges(spark: SparkSession, n: Long, rows: Long, seed: Long = 7): DataFrame =
-    spark
-      .range(rows)
-      .select(
-        (rand(seed) * n).cast(LongType).as("src"),
-        (rand(seed + 1) * n).cast(LongType).as("dst")
-      )
-
   /** Edges of cliques planted on (optionally overlapping) vertex ranges:
     * community i covers vertices [base + i·stride, base + i·stride + size),
     * so stride < size chains the communities together — overlap is what

@@ -3,7 +3,7 @@ package repro.sparkops
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cliques.RecListCliques
-import repro.graph.{CSRGraph, DirectedGraph, Orientation}
+import repro.graph.{CSRGraph, Orientation}
 
 /** Spark fan-out clique counting: the oriented graph is broadcast and root
   * vertices are partitioned across tasks, each of which runs the sequential
@@ -23,18 +23,9 @@ object DistCliqueCount {
       parallelism: Int = 0,
       order: Orientation.Order = Orientation.Degeneracy
   ): Long = {
-    val dg = Orientation.orient(g, order)
-    countCliquesOriented(spark, dg, k, parallelism)
-  }
-
-  def countCliquesOriented(
-      spark: SparkSession,
-      dg: DirectedGraph,
-      k: Int,
-      parallelism: Int = 0
-  ): Long = {
     import spark.implicits._
-    if (dg.n == 0) return 0L
+    if (g.n == 0) return 0L
+    val dg = Orientation.orient(g, order)
     val p = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
     val bc = spark.sparkContext.broadcast(dg)
     val perTask: DataFrame = spark

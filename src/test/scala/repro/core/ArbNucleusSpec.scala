@@ -83,16 +83,19 @@ class ArbNucleusSpec extends SparkSpec {
 
   test("graph contraction for (2,3) matches and actually contracts") {
     val g = TestGraphs.random(60, 0.3, 23)
-    val ref = RefNucleus.decompose(g, 2, 3)
     val cfg = NucleusConfig(
       relabel = false,
       aggregation = UpdateAggregator.HashTableKind,
       contraction = true
     )
-    val res = ArbNucleusDecomp.decompose(g, 2, 3, cfg)
-    assert(res.coreMap === ref.coreMap)
-    // enough peeling happens on this graph for the 2n-threshold to fire
-    assert(res.stats.contractions >= 1, "expected at least one contraction")
+    // contraction covers every r = 2, so (2,4) contracts too
+    for (s <- Seq(3, 4)) {
+      val ref = RefNucleus.decompose(g, 2, s)
+      val res = ArbNucleusDecomp.decompose(g, 2, s, cfg)
+      assert(res.coreMap === ref.coreMap, s"(2,$s)")
+      // enough peeling happens on this graph for the 2n-threshold to fire
+      assert(res.stats.contractions >= 1, s"(2,$s): expected at least one contraction")
+    }
   }
 
   test("degree ordering gives the same decomposition as degeneracy ordering") {

@@ -106,4 +106,10 @@ class UpdateAggregatorSpec extends SparkSpec {
     assert(e.getMessage.contains(s"at most $limit threads"))
     assert(e.getMessage.contains(s"the pool has ${limit + 1}"))
   }
+
+  test("list-buffer: a capacity whose array overflows Int is rejected with the limit named") {
+    val limit = Int.MaxValue - ListBufferAggregator.MaxThreads * 512
+    val e = intercept[IllegalArgumentException](new ListBufferAggregator(limit + 1))
+    assert(e.getMessage.contains(s"capacity ${limit + 1} exceeds its limit $limit"))
+  }
 }

@@ -201,25 +201,44 @@ class GraphSpec extends SparkSpec {
   }
 
   test("PeelableGraph contracts only after the 2n threshold and filters peeled edges") {
-    val g = CSRGraph.complete(10) // n=10, m=45; threshold = 20 peeled edges
+    // n=12, m=66; threshold = 24 peeled edges since the last contraction
+    val g = CSRGraph.complete(12)
     val pg = new PeelableGraph(g)
     val peeled = scala.collection.mutable.Set[(Int, Int)]()
     def isPeeled(a: Int, b: Int): Boolean = peeled.contains((math.min(a, b), math.max(a, b)))
     def peelBatch(pairs: Seq[(Int, Int)]): Boolean = {
       pairs.foreach { case (u, v) => peeled += ((math.min(u, v), math.max(u, v))) }
       val flat = pairs.flatMap { case (u, v) => Seq(u, v) }.toArray
-      pg.notePeeled(flat, pairs.length)(isPeeled)
+      pg.notePeeled(flat, pairs.length)
     }
-    val all = (for (u <- 0 until 10; v <- u + 1 until 10) yield (u, v)).toSeq
-    assert(!peelBatch(all.take(10)))  // 10 < 20: no contraction
+    def assertExactlyUnpeeled(): Unit =
+      for (v <- 0 until g.n)
+        assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq.filterNot(isPeeled(v, _)), s"v=$v")
+    val all = (for (u <- 0 until 12; v <- u + 1 until 12) yield (u, v)).toSeq
+    assert(!peelBatch(all.take(10)))  // 10 < 24: no contraction
     assert(pg.contractions === 0)
     for (v <- 0 until g.n) assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq)
-    assert(peelBatch(all.slice(10, 35))) // 35 >= 20: contraction fires
+    assert(peelBatch(all.slice(10, 35))) // 35 >= 24: contraction fires
     assert(pg.contractions === 1)
-    // every vertex lost >= 9/4 of its 9 neighbors, so every list is filtered
-    // down to exactly its unpeeled neighbors, still sorted
-    for (v <- 0 until g.n)
-      assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq.filterNot(isPeeled(v, _)), s"v=$v")
-    assert(TestGraphs.liveNeighbors(pg, 0).isEmpty && TestGraphs.liveNeighbors(pg, 9) === Seq(5, 6, 7, 8))
+    // every vertex lost >= 11/4 of its 11 neighbors, so every list is
+    // filtered down to exactly its unpeeled neighbors, still sorted
+    assertExactlyUnpeeled()
+    assert(TestGraphs.liveNeighbors(pg, 0).isEmpty && TestGraphs.liveNeighbors(pg, 11) === (3 to 10))
+    // 25 more: a second contraction over the compacted lists; only the K4
+    // on 8..11 stays, and every vertex of it lost >= 1/4 of its live list
+    assert(peelBatch(all.slice(35, 60)))
+    assert(pg.contractions === 2)
+    assertExactlyUnpeeled()
+    assert(TestGraphs.liveNeighbors(pg, 11) === Seq(8, 9, 10))
+  }
+
+  test("PeelableGraph rejects a peeled edge that is not live, naming it") {
+    val pg = new PeelableGraph(TestGraphs.path(4))
+    val absent = intercept[IllegalStateException](pg.notePeeled(Array(0, 2), 1))
+    assert(absent.getMessage.contains("peeled edge (0, 2) is not live at vertex 0"))
+    val fresh = new PeelableGraph(TestGraphs.path(4))
+    fresh.notePeeled(Array(1, 2), 1)
+    val twice = intercept[IllegalStateException](fresh.notePeeled(Array(2, 1), 1))
+    assert(twice.getMessage.contains("peeled edge (2, 1) is not live at vertex 2"))
   }
 }

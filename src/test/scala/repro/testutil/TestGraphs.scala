@@ -17,11 +17,11 @@ object TestGraphs {
     CSRGraph.fromEdges(k5 ++ f ++ g, 7)
   }
 
-  /** The live neighbors of `v`: the slice of [[Adjacency.adjArray]] the
+  /** The live neighbors of `v`: the slice of [[Adjacency.adj]] the
     * intersection kernel reads.
     */
   def liveNeighbors(g: Adjacency, v: Int): Seq[Int] =
-    g.adjArray(v).slice(g.adjFrom(v), g.adjFrom(v) + g.degree(v)).toSeq
+    g.adj.slice(g.offsets(v), g.offsets(v) + g.degree(v)).toSeq
 
   /** Erdős–Rényi G(n, p), deterministic in seed. */
   def random(n: Int, p: Double, seed: Long): CSRGraph = {
