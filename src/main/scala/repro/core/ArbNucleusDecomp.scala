@@ -289,7 +289,7 @@ object ArbNucleusDecomp {
     private[ArbNucleusDecomp] val iBuf = new Array[Int](maxDeg)
     private[ArbNucleusDecomp] val cliqueBuf = new Array[Int](s)
     private[ArbNucleusDecomp] val sBuf = new Array[Int](s)
-    private[ArbNucleusDecomp] val compBufs = Array.ofDim[Int](math.max(1, s - r), maxDeg)
+    private[ArbNucleusDecomp] val compBufs = Array.ofDim[Int](math.max(0, s - r - 2), maxDeg)
   }
 
   /** UPDATE's front end for the r-clique `sc.vsR` (Algorithm 2):

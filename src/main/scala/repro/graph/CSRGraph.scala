@@ -1,6 +1,5 @@
 package repro.graph
 
-import repro.cliques.Intersect
 import repro.par.Par
 
 /** Read-only view of an undirected adjacency structure in CSR layout, as
@@ -168,8 +167,9 @@ object CSRGraph {
 
 /** A DAG produced by orienting an undirected graph along a total vertex
   * order: edges point from lower rank to higher rank. `rank` maps vertex →
-  * position in the order. Out-adjacency lists are sorted by vertex id (so
-  * sorted-array intersection works directly).
+  * position in the order. Out-adjacency lists are sorted by vertex id, so
+  * clique listing's scans ([[repro.cliques.RecListCliques]]) emit their
+  * candidates in ascending order.
   */
 final class DirectedGraph(
     val offsets: Array[Int],
@@ -186,10 +186,4 @@ final class DirectedGraph(
     while (v < n) { val d = outDegree(v); if (d > mx) mx = d; v += 1 }
     mx
   }
-
-  /** Writes the intersection of sorted `cand(0 until candLen)` with the
-    * out-neighbors of `v` into `out`, returning the intersection size.
-    */
-  def intersectOut(cand: Array[Int], candLen: Int, v: Int, out: Array[Int]): Int =
-    Intersect.intersect(cand, 0, candLen, adj, offsets(v), outDegree(v), out)
 }

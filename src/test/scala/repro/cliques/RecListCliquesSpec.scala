@@ -1,8 +1,13 @@
 package repro.cliques
 
+import java.util.concurrent.atomic.AtomicLong
 import repro.SparkSpec
 import repro.baselines.RefNucleus
-import repro.graph.{Adjacency, CSRGraph, Orientation, PeelableGraph}
+import repro.core.ArbNucleusDecomp
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph}
+import repro.par.Par
+import repro.sparkgen.GraphGen
+import repro.sparkops.EdgeOps
 import repro.testutil.TestGraphs
 
 /** REC-LIST-CLIQUES (Algorithm 1) against brute-force enumeration. */
@@ -101,7 +106,7 @@ class RecListCliquesSpec extends SparkSpec {
 
   /** Two hubs adjacent to everything plus G(n, 0.03) among the rest: a
     * leaf's list is over 16 times shorter than a hub's, so queries mixing
-    * them gallop and queries among leaves merge.
+    * them gallop and queries among leaves mark and scan.
     */
   private def twoHubGraph(n: Int, seed: Long): CSRGraph = {
     val rnd = new scala.util.Random(seed)
@@ -124,29 +129,32 @@ class RecListCliquesSpec extends SparkSpec {
     }.filter(_.nonEmpty)
   }
 
+  /** Brute-force common neighbours of `vs` over the live lists of `g`. */
+  private def bruteCommon(g: Adjacency, vs: Array[Int]): Seq[Int] =
+    vs.map(TestGraphs.liveNeighbors(g, _).toSet).reduce(_ intersect _).toSeq.sorted
+
   /** Checks every query against a brute-force set intersection and returns
-    * (queries whose first intersect step merges, ... that gallop).
+    * (queries whose first intersect step marks and scans, ... that gallop).
     */
   private def checkAgainstBruteForce(g: Adjacency, qs: Seq[Array[Int]]): (Int, Int) = {
     val out = new Array[Int](g.n)
-    var merges = 0
+    var marks = 0
     var gallops = 0
     for (vs <- qs) {
-      val expected = vs.map(TestGraphs.liveNeighbors(g, _).toSet).reduce(_ intersect _).toSeq.sorted
       val k = Intersect.commonNeighbors(g, vs, vs.length, out)
-      assert(out.take(k).toSeq === expected, s"query ${vs.mkString(",")}")
+      assert(out.take(k).toSeq === bruteCommon(g, vs), s"query ${vs.mkString(",")}")
       if (vs.length >= 2) {
         val d = vs.map(g.degree).sorted
-        if (d(0).toLong * 16 >= d(1)) merges += 1 else gallops += 1
+        if (d(0).toLong * 16 >= d(1)) marks += 1 else gallops += 1
       }
     }
-    (merges, gallops)
+    (marks, gallops)
   }
 
   test("commonNeighbors matches brute force on a skewed-degree CSRGraph, both branches") {
     val g = twoHubGraph(300, 17)
-    val (merges, gallops) = checkAgainstBruteForce(g, queries(g, 600, 3))
-    assert(merges > 0 && gallops > 0, s"merges=$merges gallops=$gallops")
+    val (marks, gallops) = checkAgainstBruteForce(g, queries(g, 600, 3))
+    assert(marks > 0 && gallops > 0, s"marks=$marks gallops=$gallops")
   }
 
   test("commonNeighbors matches brute force on a contracted PeelableGraph, both branches") {
@@ -158,8 +166,175 @@ class RecListCliquesSpec extends SparkSpec {
     val flat = peeled.toArray.flatMap { case (u, v) => Array(u, v) }
     assert(pg.notePeeled(flat, peeled.size))
     assert((0 until g.n).exists(v => pg.degree(v) < g.degree(v)))
-    val (merges, gallops) = checkAgainstBruteForce(pg, queries(pg, 600, 5))
-    assert(merges > 0 && gallops > 0, s"merges=$merges gallops=$gallops")
+    val (marks, gallops) = checkAgainstBruteForce(pg, queries(pg, 600, 5))
+    assert(marks > 0 && gallops > 0, s"marks=$marks gallops=$gallops")
+  }
+
+  /** A graph, `len` query members and a list of edges to peel. The
+    * members' degrees ascend, and commonNeighbors' last step meets a list of
+    * `16 · k + delta` entries with `k` candidates left, `k` = 8, 6 and 5 for
+    * len 2, 3 and 4 (earlier steps mark and scan). Every list holds its own
+    * filler vertices, and ids are shuffled so that fillers and common
+    * neighbours interleave. With `deadPerMember` > 0 each member also gets
+    * that many extra neighbours, and the edges to peel are those plus a K40
+    * on fresh vertices, enough to cross the 2n contraction threshold.
+    */
+  private def ratioGraph(len: Int, delta: Int, deadPerMember: Int, seed: Long): (CSRGraph, Array[Int], Seq[(Int, Int)]) = {
+    var next = len
+    def fresh(c: Int): Seq[Int] = { val vs = next until next + c; next += c; vs }
+    val a = fresh(8)
+    // the list of each member: the common part it keeps, then its fillers
+    val lists: Seq[Seq[Int]] = len match {
+      case 2 => Seq(a, a.take(5) ++ fresh(16 * 8 + delta - 5))
+      case 3 => Seq(a, a.take(6) ++ fresh(6), a.take(4) ++ fresh(16 * 6 + delta - 4))
+      case 4 => Seq(a, a.take(6) ++ fresh(6), a.take(5) ++ fresh(15), a.take(3) ++ fresh(16 * 5 + delta - 3))
+    }
+    val live = lists.zipWithIndex.flatMap { case (ns, m) => ns.map(w => (m, w)) }
+    val dead = (0 until len).flatMap(m => fresh(deadPerMember).map(w => (m, w)))
+    val block = if (deadPerMember > 0) { val k = fresh(40); for (i <- k; j <- k if i < j) yield (i, j) } else Nil
+    val perm = new scala.util.Random(seed).shuffle((0 until next).toVector).toArray
+    def ren(e: (Int, Int)) = (perm(e._1), perm(e._2))
+    val g = CSRGraph.fromEdges((live ++ dead ++ block).map(ren), next)
+    (g, Array.tabulate(len)(perm), (dead ++ block).map(ren))
+  }
+
+  for (len <- 2 to 4; delta <- Seq(-1, 0, 1); contracted <- Seq(false, true)) {
+    val ratio = delta match { case -1 => "just below"; case 0 => "at"; case _ => "just above" }
+    val graph = if (contracted) "a contracted PeelableGraph" else "a CSRGraph"
+    test(s"commonNeighbors matches brute force with its last step $ratio GallopRatio: len=$len, $graph") {
+      val (g, members, peel) = ratioGraph(len, delta, if (contracted) 50 else 0, 41L + len)
+      val adjacency: Adjacency =
+        if (!contracted) g
+        else {
+          val pg = new PeelableGraph(g)
+          assert(pg.notePeeled(peel.flatMap { case (u, v) => Seq(u, v) }.toArray, peel.size))
+          pg
+        }
+      val out = new Array[Int](g.n)
+      for (vs <- members.permutations) {
+        val k = Intersect.commonNeighbors(adjacency, vs, len, out)
+        val expected = bruteCommon(adjacency, vs)
+        assert(expected.size === Seq(5, 4, 3)(len - 2))
+        assert(out.take(k).toSeq === expected, s"query ${vs.mkString(",")}")
+      }
+      // the live degrees the plan sees: ascending, and the last one is 16k + delta
+      val k = Seq(8, 6, 5)(len - 2)
+      val degrees = members.toSeq.map(adjacency.degree)
+      assert(degrees === degrees.sorted && degrees.last === 16 * k + delta, s"degrees $degrees")
+    }
+  }
+
+  /** The sorted-merge REC-LIST-CLIQUES that listing used before marking:
+    * every r-clique of `dg`, each sorted ascending, in lexicographic order,
+    * flattened.
+    */
+  private def mergeListing(dg: DirectedGraph, r: Int): Array[Int] = {
+    def outN(v: Int): Array[Int] = dg.adj.slice(dg.offsets(v), dg.offsets(v + 1))
+    def merge(a: Array[Int], b: Array[Int]): Array[Int] = {
+      val out = Array.newBuilder[Int]
+      var i = 0
+      var j = 0
+      while (i < a.length && j < b.length) {
+        if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
+        else if (a(i) < b(j)) i += 1
+        else j += 1
+      }
+      out.result()
+    }
+    val found = Array.newBuilder[Array[Int]]
+    def rec(clique: List[Int], cand: Array[Int], rl: Int): Unit =
+      if (rl == 0) found += clique.toArray.sorted
+      else cand.foreach(u => rec(u :: clique, merge(cand, outN(u)), rl - 1))
+    (0 until dg.n).foreach(v => rec(List(v), outN(v), r - 1))
+    found.result().sortWith((x, y) => java.util.Arrays.compare(x, y) < 0).flatten
+  }
+
+  private lazy val rmat10: CSRGraph = EdgeOps.csrOf(spark, GraphGen.rmatEdges(spark, 10, 8, seed = 4))
+
+  for ((name, graph) <- TestGraphs.suite.map { case (n, g) => (n, () => g) } :+ ("rmat(10,8)" -> (() => rmat10));
+       relabel <- Seq(false, true)) {
+    test(s"listSortedCliques is identical to a sorted-merge listing: $name relabel=$relabel, r=2..4") {
+      val g = graph()
+      val dg = if (relabel) Orientation.relabelByRank(g)._2 else Orientation.orient(g)
+      for (r <- 2 to 4) {
+        val expected = mergeListing(dg, r)
+        val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, r, sortNeeded = !relabel, g.n)
+        assert(num * r === expected.length, s"r=$r")
+        assert(java.util.Arrays.equals(flat, expected), s"r=$r")
+      }
+    }
+  }
+
+  for (threads <- Seq(1, 4)) {
+    test(s"a listing consumer that re-enters commonNeighbors and countCliques matches brute force: $threads thread(s)") {
+      val g = TestGraphs.random(40, 0.35, 37)
+      val dg = Orientation.orient(g)
+      val triangles = RefNucleus.allCliques(g, 3).length.toLong
+      val listed = new AtomicLong
+      val wrong = new AtomicLong
+      Par.withThreads(threads) {
+        RecListCliques.foreachClique(dg, 4) { () =>
+          val vs = new Array[Int](2)
+          val out = new Array[Int](g.n)
+          clique => {
+            listed.incrementAndGet()
+            vs(0) = clique(0)
+            vs(1) = clique(2)
+            val k = Intersect.commonNeighbors(g, vs, 2, out)
+            if (out.take(k).toSeq != bruteCommon(g, vs)) wrong.incrementAndGet()
+            if (RecListCliques.countCliques(dg, 3) != triangles) wrong.incrementAndGet()
+          }
+        }
+      }
+      assert(listed.get === RefNucleus.allCliques(g, 4).length.toLong)
+      assert(wrong.get === 0L)
+    }
+  }
+
+  private val wrapGraph = TestGraphs.random(60, 0.3, 43)
+
+  /** Clique counts for k = 3 to 5 and 300 commonNeighbors queries on
+    * `wrapGraph`, each against brute force.
+    */
+  private def checkListingAndQueries(): Unit = {
+    val g = wrapGraph
+    val dg = Orientation.orient(g)
+    for (k <- 3 to 5)
+      assert(RecListCliques.countCliques(dg, k) === RefNucleus.allCliques(g, k).length.toLong, s"k=$k")
+    checkAgainstBruteForce(g, queries(g, 300, 7))
+  }
+
+  test("listing and commonNeighbors match brute force across the stamp tag wrap-around: 1 thread") {
+    // A new thread's first stamp array starts at tag 0: every vertex gets
+    // its first tag, then the tags jump to the wrap. Past it they start
+    // again from that first tag, so a stale stamp would read as a member.
+    var failure: Throwable = null
+    val t = new Thread(() =>
+      try Par.withThreads(1) {
+        val n = wrapGraph.n
+        val m = Marks.acquire(n)
+        RecListCliques.stampAll(m.stamp, Array.range(0, n), 0, n, m.fresh(1))
+        Marks.release(m)
+        Marks.restartTags(Int.MaxValue - 3)
+        checkListingAndQueries()
+      } catch { case e: Throwable => failure = e }
+      finally Marks.restartTags(0)
+    )
+    t.start()
+    t.join()
+    if (failure != null) throw failure
+  }
+
+  test("listing and commonNeighbors match brute force across the stamp tag wrap-around: 4 threads") {
+    try {
+      Marks.restartTags(Int.MaxValue - 3) // the new pool's workers start their arrays here
+      Par.withThreads(4)(checkListingAndQueries())
+    } finally Marks.restartTags(0)
+  }
+
+  test("a stamp array that cannot fit the heap once per worker is rejected, naming n and the pool size") {
+    val e = intercept[IllegalArgumentException](Par.withThreads(64)(Marks.acquire(Int.MaxValue)))
+    assert(e.getMessage.contains(s"n = ${Int.MaxValue}") && e.getMessage.contains("64 workers"), e.getMessage)
   }
 
   test("intersect: empty inputs, disjoint lists, offsets, and out aliasing a") {

@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.SparkSpec
+import repro.cliques.{Marks, RecListCliques}
 import repro.testutil.TestGraphs
 
 /** CSRGraph, orientations, relabeling, and the contractible graph. */
@@ -180,12 +181,16 @@ class GraphSpec extends SparkSpec {
       assert(rg.hasEdge(u, v) === g.hasEdge(oldOf(u), oldOf(v)))
   }
 
-  test("intersectOut computes sorted intersections") {
+  test("scanOut computes sorted intersections") {
     val g = TestGraphs.complete(8)
     val dg = Orientation.orient(g)
     val cand = Array(3, 4, 5, 6, 7)
     val out = new Array[Int](8)
-    val len = dg.intersectOut(cand, 5, 2, out)
+    val marks = Marks.acquire(g.n)
+    val tag = marks.fresh(1)
+    RecListCliques.stampAll(marks.stamp, cand, 0, 5, tag)
+    val len = RecListCliques.scanOut(dg, marks.stamp, 2, tag, out)
+    Marks.release(marks)
     // out-neighbors of rank-oriented vertex 2 intersected with cand
     val expected = cand.filter(u => dg.adj.slice(dg.offsets(2), dg.offsets(3)).contains(u))
     assert(out.take(len).toSeq === expected.toSeq)
