@@ -19,7 +19,6 @@ final case class NucleusStats(
     tPeelMs: Double,
     tableMemory: TableMemory
 ) {
-  def totalMs: Double = tOrientMs + tListMs + tBuildMs + tCountMs + tPeelMs
   /** s-cliques touched across the whole run: initial count + re-discoveries
     * during peeling (the metric the paper compares against AND/AND-NN).
     */

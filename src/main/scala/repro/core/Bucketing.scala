@@ -25,10 +25,6 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
   private var cursor = 0     // next list index to inspect
   private var live = 0       // ids inserted and not yet extracted
 
-  def size: Int = live
-
-  def bucket(id: Int): Long = bucketOf(id)
-
   /** Inserts `id` with its initial bucket value (≥ 0). Call once per id. */
   def insert(id: Int, value: Long): Unit = {
     require(value >= 0, s"bucket value must be >= 0, got $value")

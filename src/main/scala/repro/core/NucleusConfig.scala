@@ -44,6 +44,9 @@ object NucleusConfig {
     * aggregation plus graph contraction and no relabeling; otherwise
     * list-buffer aggregation plus relabeling. Falls back to the smallest
     * feasible multi-level table when two-level keys do not fit (large r).
+    * A 4-thread sweep on orkut-lite (2,3) gave relabeling + list buffer the
+    * lowest median, but not by more than its IQR, so this pick stands
+    * (ROADMAP item 4, `BENCH_8.json`).
     */
   def optimal(r: Int, s: Int, n: Int): NucleusConfig = {
     val base =

@@ -21,7 +21,6 @@ sealed trait UpdateAggregator {
   def beginRound(expectedUpdates: Long): Unit
   def offer(slot: Int): Unit
   def drain(): Array[Int]
-  def label: String
 }
 
 object UpdateAggregator {
@@ -61,8 +60,6 @@ final class SimpleArrayAggregator(capacity: Int) extends UpdateAggregator {
   private val u = new Array[Int](math.max(1, capacity))
   private val next = new AtomicInteger(0)
 
-  def label = "simple-array"
-
   def beginRound(expectedUpdates: Long): Unit = {
     stamps.nextRound()
     next.set(0)
@@ -86,27 +83,25 @@ final class SimpleArrayAggregator(capacity: Int) extends UpdateAggregator {
   * blocks still overrun (more threads than that offered) fails with an
   * IllegalStateException naming the limit.
   */
-final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends UpdateAggregator {
-  import ListBufferAggregator.MaxThreads
+final class ListBufferAggregator(capacity: Int) extends UpdateAggregator {
+  import ListBufferAggregator.{BlockSize, MaxThreads}
   require(
     Par.parallelism <= MaxThreads,
     s"list-buffer aggregator supports at most $MaxThreads threads, the pool has ${Par.parallelism}"
   )
   require(
-    capacity.toLong + MaxThreads.toLong * blockSize <= Int.MaxValue,
-    s"list-buffer aggregator capacity $capacity exceeds its limit ${Int.MaxValue - MaxThreads.toLong * blockSize} = Int.MaxValue - ${MaxThreads}·$blockSize"
+    capacity.toLong + MaxThreads.toLong * BlockSize <= Int.MaxValue,
+    s"list-buffer aggregator capacity $capacity exceeds its limit ${Int.MaxValue - MaxThreads.toLong * BlockSize} = Int.MaxValue - ${MaxThreads}·$BlockSize"
   )
   private val stamps = new RoundStamp(capacity)
-  // worst case: every slot updated once, each thread wasting < blockSize
-  private val u = new Array[Int](math.max(1, capacity + MaxThreads * blockSize))
+  // worst case: every slot updated once, each thread wasting < BlockSize
+  private val u = new Array[Int](math.max(1, capacity + MaxThreads * BlockSize))
   java.util.Arrays.fill(u, -1)
   private val nextBlock = new AtomicInteger(0)
   private val epoch = new AtomicInteger(0)
 
   private final class ThreadState { var pos = 0; var end = 0; var seenEpoch = -1 }
   private val local = ThreadLocal.withInitial[ThreadState](() => new ThreadState)
-
-  def label = "list-buffer"
 
   def beginRound(expectedUpdates: Long): Unit = {
     stamps.nextRound()
@@ -120,10 +115,10 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
     val e = epoch.get()
     if (st.seenEpoch != e) { st.seenEpoch = e; st.pos = 0; st.end = 0 }
     if (st.pos == st.end) {
-      st.pos = nextBlock.getAndAdd(blockSize)
+      st.pos = nextBlock.getAndAdd(BlockSize)
       if (st.pos >= u.length)
         throw new IllegalStateException(s"list-buffer aggregator overran its slack: more than $MaxThreads threads offered in one round")
-      st.end = math.min(st.pos + blockSize, u.length)
+      st.end = math.min(st.pos + BlockSize, u.length)
     }
     u(st.pos) = slot
     st.pos += 1
@@ -145,6 +140,8 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
 object ListBufferAggregator {
   /** Offering threads the shared array leaves slack for. */
   val MaxThreads = 256
+  /** Cells a thread reserves with one fetch-and-add. */
+  val BlockSize = 512
 }
 
 /** §5.5 "Hash Table": a parallel open-addressing set whose probe region is
@@ -167,8 +164,6 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
   private var mask = 63
   private var round = 0L
   private val inserted = new AtomicLong(0)
-
-  def label = "hash-table"
 
   def beginRound(expectedUpdates: Long): Unit = {
     round += 1

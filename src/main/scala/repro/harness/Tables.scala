@@ -79,14 +79,7 @@ object Tables {
   }
 
   private def tCfg(scheme: TableScheme, contig: Boolean, inv: InverseMapMethod): NucleusConfig =
-    NucleusConfig(
-      scheme = scheme,
-      contiguous = contig,
-      inverse = inv,
-      relabel = false,
-      aggregation = UpdateAggregator.SimpleArrayKind,
-      contraction = false
-    )
+    NucleusConfig.unoptimized.copy(scheme = scheme, contiguous = contig, inverse = inv)
 
   def table2TOpts(
       spark: SparkSession,
@@ -160,13 +153,7 @@ object Tables {
       rs: Seq[(Int, Int)],
       reps: Int = 2
   ): String = {
-    val base = NucleusConfig(
-      scheme = TwoLevelArray,
-      contiguous = true,
-      inverse = StoredPointers,
-      relabel = false,
-      aggregation = UpdateAggregator.SimpleArrayKind
-    )
+    val base = NucleusConfig.unoptimized.copy(scheme = TwoLevelArray, inverse = StoredPointers)
     val out = new StringBuilder
     for ((r, s) <- rs) {
       val opts: Seq[(String, NucleusConfig)] = Seq(

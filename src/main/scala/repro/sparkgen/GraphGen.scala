@@ -16,25 +16,21 @@ import org.apache.spark.sql.types.LongType
   */
 object GraphGen {
 
+  /** rMAT quadrant probabilities of §6.1: P(0,0) = a, P(0,1) = b,
+    * P(1,0) = c, P(1,1) = 1 − a − b − c = 0.3.
+    */
+  private val (a, b, c) = (0.5, 0.1, 0.1)
+
   /** rMAT edges (Chakrabarti et al. [11]): 2^scale vertices,
     * edgeFactor·2^scale generated edges (before dedup). Columns src, dst.
     */
-  def rmatEdges(
-      spark: SparkSession,
-      scale: Int,
-      edgeFactor: Int,
-      seed: Long = 42,
-      a: Double = 0.5,
-      b: Double = 0.1,
-      c: Double = 0.1
-  ): DataFrame = {
+  def rmatEdges(spark: SparkSession, scale: Int, edgeFactor: Int, seed: Long = 42): DataFrame = {
     require(scale >= 1 && scale <= 30, s"scale out of range: $scale")
     val numEdges = edgeFactor.toLong << scale
     var srcExpr = lit(0L)
     var dstExpr = lit(0L)
     for (i <- 0 until scale) {
       val q = rand(seed + 1000L * i)
-      // quadrants: P(0,0)=a, P(0,1)=b, P(1,0)=c, P(1,1)=d
       val srcBit = when(q >= a + b, 1L).otherwise(0L)
       val dstBit = when((q >= a && q < a + b) || q >= a + b + c, 1L).otherwise(0L)
       srcExpr = srcExpr + srcBit * (1L << i)

@@ -20,12 +20,11 @@ object DistCliqueCount {
       spark: SparkSession,
       g: CSRGraph,
       k: Int,
-      parallelism: Int = 0,
-      order: Orientation.Order = Orientation.Degeneracy
+      parallelism: Int = 0
   ): Long = {
     import spark.implicits._
     if (g.n == 0) return 0L
-    val dg = Orientation.orient(g, order)
+    val dg = Orientation.orient(g)
     val p = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
     val bc = spark.sparkContext.broadcast(dg)
     val perTask: DataFrame = spark
@@ -50,11 +49,10 @@ object DistCliqueCount {
       spark: SparkSession,
       g: CSRGraph,
       s: Int,
-      parallelism: Int = 0,
-      order: Orientation.Order = Orientation.Degeneracy
+      parallelism: Int = 0
   ): DataFrame = {
     import spark.implicits._
-    val dg = Orientation.orient(g, order)
+    val dg = Orientation.orient(g)
     val p = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
     val bc = spark.sparkContext.broadcast(dg)
     val n = g.n

@@ -108,8 +108,10 @@ class UpdateAggregatorSpec extends SparkSpec {
   }
 
   test("list-buffer: a capacity whose array overflows Int is rejected with the limit named") {
-    val limit = Int.MaxValue - ListBufferAggregator.MaxThreads * 512
+    import ListBufferAggregator.{BlockSize, MaxThreads}
+    val limit = Int.MaxValue - MaxThreads * BlockSize
     val e = intercept[IllegalArgumentException](new ListBufferAggregator(limit + 1))
     assert(e.getMessage.contains(s"capacity ${limit + 1} exceeds its limit $limit"))
+    assert(e.getMessage.contains(s"Int.MaxValue - ${MaxThreads}·$BlockSize"))
   }
 }
