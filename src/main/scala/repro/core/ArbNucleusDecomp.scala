@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.atomic.LongAdder
-import repro.cliques.{CliqueEncoding, Intersect, RecListCliques}
+import repro.cliques.{Intersect, RecListCliques}
 import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph}
 import repro.par.Par
 
@@ -91,15 +91,11 @@ object ArbNucleusDecomp {
     require(r >= 1 && s > r, s"need 1 <= r < s, got r=$r s=$s")
     val cfg = if (config == null) NucleusConfig.optimal(r, s, g.n) else config
 
-    // --- orientation (+ optional relabeling, §5.4) -------------------------
+    // --- degeneracy orientation (+ optional relabeling, §5.4) --------------
     var t0 = System.nanoTime()
     val (workGraph, dg, oldOf) =
-      if (cfg.relabel) {
-        val (rg, rdg, old) = Orientation.relabelByRank(g, cfg.order)
-        (rg, rdg, old)
-      } else {
-        (g, Orientation.orient(g, cfg.order), null: Array[Int])
-      }
+      if (cfg.relabel) Orientation.relabelByRank(g)
+      else (g, Orientation.orient(g), null: Array[Int])
     val tOrient = msSince(t0)
 
     // --- list r-cliques, sorted lexicographically --------------------------
@@ -317,8 +313,9 @@ object ArbNucleusDecomp {
     * With a rank-relabeled graph the enumeration order is already sorted
     * (each block of roots emits lexicographically, blocks cover ascending
     * disjoint root ranges), so concatenation in root order suffices; without
-    * relabeling each clique is id-sorted and the list is then globally
-    * sorted.
+    * relabeling each clique is id-sorted and the records are then sorted by
+    * a stable counting sort over the `n` vertex ids on each column, last
+    * column first (LSD radix sort).
     */
   private[repro] def listSortedCliques(
       dg: DirectedGraph,
@@ -357,25 +354,26 @@ object ArbNucleusDecomp {
     val num = total / math.max(1, r)
     if (!sortNeeded) return (flat, num)
 
-    // global sort of clique records
-    val enc = new CliqueEncoding(n)
-    if (enc.fits(r)) {
-      val keys = new Array[Long](num)
-      var i = 0
-      while (i < num) { keys(i) = enc.pack(flat, i * r, r); i += 1 }
-      Par.sortLongs(keys, 0, num)
-      val out = new Array[Int](total)
+    // r stable counting passes, alternating between `flat` and a scratch array
+    var src = flat
+    var dst = new Array[Int](total)
+    var c = r - 1
+    while (c >= 0) {
+      val bucketStart = new Array[Int](n + 1)
+      var i = c
+      while (i < total) { bucketStart(src(i) + 1) += 1; i += r }
+      var v = 0
+      while (v < n) { bucketStart(v + 1) += bucketStart(v); v += 1 }
       i = 0
-      while (i < num) { enc.unpack(keys(i), r, out, i * r); i += 1 }
-      (out, num)
-    } else {
-      // rare fall-back for very large r: boxed sort of record views
-      val recs = Array.tabulate(num) { i => java.util.Arrays.copyOfRange(flat, i * r, i * r + r) }
-      java.util.Arrays.sort(recs, (a: Array[Int], b: Array[Int]) => java.util.Arrays.compare(a, b))
-      val out = new Array[Int](total)
-      var i = 0
-      while (i < num) { System.arraycopy(recs(i), 0, out, i * r, r); i += 1 }
-      (out, num)
+      while (i < total) {
+        val v = src(i + c)
+        System.arraycopy(src, i, dst, bucketStart(v) * r, r)
+        bucketStart(v) += 1
+        i += r
+      }
+      val t = src; src = dst; dst = t
+      c -= 1
     }
+    (src, num)
   }
 }

@@ -223,6 +223,27 @@ object CliqueTable {
     }
   }
 
+  /** Each group's power-of-two slot capacity (load factor ≤ 0.7) and the
+    * groups' slot offsets, with one barrier cell after each non-empty group
+    * when `hasBarriers`. Computed in Long; fails fast past 2^30 slots in a
+    * group or `Int.MaxValue` in total.
+    */
+  private[core] def slotLayout(groupCounts: Array[Int], hasBarriers: Boolean): (Array[Int], Array[Int]) = {
+    val caps = new Array[Int](groupCounts.length)
+    val offsets = new Array[Int](groupCounts.length + 1)
+    var total = 0L
+    for (g <- groupCounts.indices) {
+      val cnt = groupCounts(g)
+      val need = (cnt * 10L + 6) / 7
+      require(need <= (1 << 30), s"group $g holds $cnt r-cliques: $need slots exceed the group limit of 2^30")
+      caps(g) = if (cnt == 0) 0 else Util.nextPow2(need.toInt)
+      total += caps(g) + (if (hasBarriers && cnt > 0) 1 else 0)
+      require(total <= Int.MaxValue, s"${g + 1} groups need $total slots, over the Int slot limit of ${Int.MaxValue}")
+      offsets(g + 1) = total.toInt
+    }
+    (caps, offsets)
+  }
+
   /** Builds T from the lexicographically sorted, duplicate-free flattened
     * r-clique list `cliques` (length `num * r`, vertices of each clique
     * sorted ascending).
@@ -332,19 +353,8 @@ object CliqueTable {
 
     // --- last-level layout ---------------------------------------------------
     val hasBarriers = inverse == StoredPointers
-    val groupCaps = new Array[Int](numGroups)
-    val groupOffsets = new Array[Int](numGroups + 1)
-    var total = 0
-    var g = 0
-    while (g < numGroups) {
-      groupOffsets(g) = total
-      val cnt = groupCounts(g)
-      val cap = if (cnt == 0) 0 else Util.nextPow2((cnt * 10 + 6) / 7)
-      groupCaps(g) = cap
-      total += cap + (if (hasBarriers && cap > 0) 1 else 0)
-      g += 1
-    }
-    groupOffsets(numGroups) = total
+    val (groupCaps, groupOffsets) = slotLayout(groupCounts, hasBarriers)
+    val total = groupOffsets(numGroups)
 
     val keysContig: Array[Long] = if (effContig) new Array[Long](total) else null
     val keysByGroup: Array[Array[Long]] = if (effContig) null else new Array[Array[Long]](numGroups)

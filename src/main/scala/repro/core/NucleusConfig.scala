@@ -9,9 +9,11 @@ final case class NucleusConfig(
     inverse: InverseMapMethod = StoredPointers,
     relabel: Boolean = true,
     aggregation: UpdateAggregator.Kind = UpdateAggregator.ListBufferKind,
-    contraction: Boolean = false,
-    order: Orientation.Order = Orientation.Degeneracy
+    contraction: Boolean = false
 ) {
+  /** Always degeneracy; kept for `perfbench/.../Layers.scala`, which reads it. */
+  def order: Orientation.Order = Orientation.Degeneracy
+
   def label: String = {
     val parts = Seq(
       scheme.label,

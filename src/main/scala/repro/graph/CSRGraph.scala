@@ -166,16 +166,12 @@ object CSRGraph {
 }
 
 /** A DAG produced by orienting an undirected graph along a total vertex
-  * order: edges point from lower rank to higher rank. `rank` maps vertex →
-  * position in the order. Out-adjacency lists are sorted by vertex id, so
-  * clique listing's scans ([[repro.cliques.RecListCliques]]) emit their
-  * candidates in ascending order.
+  * order: edges point from lower rank to higher rank. Out-adjacency lists
+  * are sorted by vertex id, so clique listing's scans
+  * ([[repro.cliques.RecListCliques]]) emit their candidates in ascending
+  * order.
   */
-final class DirectedGraph(
-    val offsets: Array[Int],
-    val adj: Array[Int],
-    val rank: Array[Int]
-) extends Serializable {
+final class DirectedGraph(val offsets: Array[Int], val adj: Array[Int]) extends Serializable {
   val n: Int = offsets.length - 1
 
   def outDegree(v: Int): Int = offsets(v + 1) - offsets(v)

@@ -6,8 +6,7 @@ package repro.graph
   * Barenboim–Elkin. We substitute the classic degeneracy (smallest-last /
   * Matula–Beck) order, which gives the tight out-degree bound
   * `d ≤ 2α − 1` (appendix, footnote 9) — the same asymptotic guarantee the
-  * paper relies on — plus a simple non-decreasing-degree order as the cheap
-  * alternative. Orienting along either order yields a DAG whose maximum
+  * paper relies on. Orienting along it yields a DAG whose maximum
   * out-degree bounds the work of REC-LIST-CLIQUES.
   */
 object Orientation {
@@ -15,8 +14,6 @@ object Orientation {
   sealed trait Order
   /** Smallest-last (degeneracy / k-core) order; out-degree ≤ degeneracy. */
   case object Degeneracy extends Order
-  /** Non-decreasing degree order (ties by id). */
-  case object Degree extends Order
 
   /** Computes the coreness of every vertex and a degeneracy ordering using
     * the linear-time Matula–Beck bucket peel. Returns (coreness, order)
@@ -77,17 +74,14 @@ object Orientation {
     if (core.isEmpty) 0 else core.max
   }
 
-  /** Returns rank(v) = position of v in the chosen total order. */
-  def ranks(g: CSRGraph, order: Order): Array[Int] = {
-    val perm: Array[Int] = order match {
-      case Degeneracy => coreness(g)._2
-      case Degree =>
-        (0 until g.n).toArray.sortBy(v => (g.degree(v), v))
-    }
-    val rank = new Array[Int](g.n)
+  /** Returns rank(v) = position of v in the degeneracy order. */
+  def ranks(g: CSRGraph): Array[Int] = inverse(coreness(g)._2)
+
+  private def inverse(perm: Array[Int]): Array[Int] = {
+    val inv = new Array[Int](perm.length)
     var i = 0
-    while (i < perm.length) { rank(perm(i)) = i; i += 1 }
-    rank
+    while (i < perm.length) { inv(perm(i)) = i; i += 1 }
+    inv
   }
 
   /** Orients `g` along `rank`: each undirected edge {u,v} becomes u→v iff
@@ -116,23 +110,21 @@ object Orientation {
       // source adjacency is sorted by id, and we appended in that order
       v += 1
     }
-    new DirectedGraph(offsets, adj, rank)
+    new DirectedGraph(offsets, adj)
   }
 
+  /** Orients `g` by degeneracy; the one-case `order` is kept for `perfbench/.../Layers.scala`. */
   def orient(g: CSRGraph, order: Order = Degeneracy): DirectedGraph =
-    orient(g, ranks(g, order))
+    orient(g, ranks(g))
 
-  /** §5.4 graph relabeling: renames vertices so that id order == rank order.
-    * Returns the relabeled graph, its (identity-rank) orientation, and
-    * `oldOf(newId) = oldId` for translating results back.
+  /** §5.4 graph relabeling: renames vertices so that id order == degeneracy
+    * rank order. Returns the relabeled graph, its (identity-rank)
+    * orientation, and `oldOf(newId) = oldId` for translating results back.
+    * The one-case `order` is kept for `perfbench/.../Layers.scala`.
     */
   def relabelByRank(g: CSRGraph, order: Order = Degeneracy): (CSRGraph, DirectedGraph, Array[Int]) = {
-    val rank = ranks(g, order)
-    val relabeled = g.relabel(rank)
-    val oldOf = new Array[Int](g.n)
-    var v = 0
-    while (v < g.n) { oldOf(rank(v)) = v; v += 1 }
-    val identityRank = Array.tabulate(relabeled.n)(identity)
-    (relabeled, orient(relabeled, identityRank), oldOf)
+    val oldOf = coreness(g)._2 // the degeneracy order: new id i is the i-th vertex peeled
+    val relabeled = g.relabel(inverse(oldOf))
+    (relabeled, orient(relabeled, Array.tabulate(relabeled.n)(identity)), oldOf)
   }
 }

@@ -36,11 +36,12 @@ class RecListCliquesSpec extends SparkSpec {
     }
   }
 
-  test("countCliques with degree ordering matches degeneracy ordering") {
+  test("countCliques with a random rank order matches degeneracy order") {
     val g = TestGraphs.random(60, 0.2, 11)
+    val random = Orientation.orient(g, TestGraphs.randomRank(g.n, 11))
     for (k <- 2 to 5) {
-      val a = RecListCliques.countCliques(Orientation.orient(g, Orientation.Degeneracy), k)
-      val b = RecListCliques.countCliques(Orientation.orient(g, Orientation.Degree), k)
+      val a = RecListCliques.countCliques(Orientation.orient(g), k)
+      val b = RecListCliques.countCliques(random, k)
       assert(a === b, s"k=$k")
     }
   }
@@ -259,6 +260,19 @@ class RecListCliquesSpec extends SparkSpec {
       for (r <- 2 to 4) {
         val expected = mergeListing(dg, r)
         val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, r, sortNeeded = !relabel, g.n)
+        assert(num * r === expected.length, s"r=$r")
+        assert(java.util.Arrays.equals(flat, expected), s"r=$r")
+      }
+    }
+  }
+
+  for ((name, g) <- Seq("plantedK7" -> TestGraphs.plantedK7, "plantedK7Wide" -> TestGraphs.plantedK7Wide)) {
+    test(s"listSortedCliques sorts r-cliques whose ids do not fit one 64-bit key: $name, r=4..5") {
+      val dg = Orientation.orient(g)
+      for (r <- 4 to 5) {
+        val expected = mergeListing(dg, r)
+        assert(expected.nonEmpty, s"r=$r")
+        val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, r, sortNeeded = true, g.n)
         assert(num * r === expected.length, s"r=$r")
         assert(java.util.Arrays.equals(flat, expected), s"r=$r")
       }

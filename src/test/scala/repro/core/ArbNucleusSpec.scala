@@ -98,11 +98,17 @@ class ArbNucleusSpec extends SparkSpec {
     }
   }
 
-  test("degree ordering gives the same decomposition as degeneracy ordering") {
-    val g = TestGraphs.random(40, 0.25, 31)
-    val a = ArbNucleusDecomp.decompose(g, 2, 4, NucleusConfig(order = Orientation.Degree))
-    val b = ArbNucleusDecomp.decompose(g, 2, 4, NucleusConfig(order = Orientation.Degeneracy))
-    assert(a.coreMap === b.coreMap)
+  for ((r, s) <- Seq((4, 5), (5, 6))) {
+    test(s"matches RefNucleus without relabeling when r ids do not fit one 64-bit key: ($r,$s)") {
+      val wide = TestGraphs.plantedK7Wide
+      val cfg = NucleusConfig(relabel = false, scheme = NucleusConfig.smallestFeasibleScheme(r, wide.n))
+      val got = ArbNucleusDecomp.decompose(wide, r, s, cfg).coreMap.map { case (vs, k) =>
+        vs.map(_ / TestGraphs.WideFactor) -> k
+      }
+      val ref = RefNucleus.decompose(TestGraphs.plantedK7, r, s).coreMap
+      assert(ref.nonEmpty)
+      assert(got === ref)
+    }
   }
 
   test("(1,2) equals classic k-core coreness (Matula–Beck)") {

@@ -95,6 +95,22 @@ class CliqueTableSpec extends SparkSpec {
     assert(Util.nextPow2(1) === 1 && Util.nextPow2(5) === 8 && Util.nextPow2(1 << 30) === (1 << 30))
     val e = intercept[IllegalArgumentException](Util.nextPow2((1 << 30) + 1))
     assert(e.getMessage.contains(s"capacity ${(1 << 30) + 1} exceeds nextPow2's limit of 2^30"))
+    val neg = intercept[IllegalArgumentException](Util.nextPow2(-1))
+    assert(neg.getMessage.contains("capacity -1 is negative"))
+  }
+
+  test("slotLayout sizes groups in Long and names the count it cannot hold") {
+    // 300M cliques: (cnt · 10 + 6) / 7 overflows Int, but fits one 2^29 group
+    val (caps, offsets) = CliqueTable.slotLayout(Array(300000000, 0, 1), hasBarriers = true)
+    assert(caps.toSeq === Seq(1 << 29, 0, 2))
+    assert(offsets.toSeq === Seq(0, (1 << 29) + 1, (1 << 29) + 1, (1 << 29) + 4))
+    val group = intercept[IllegalArgumentException](CliqueTable.slotLayout(Array(5, 800000000), hasBarriers = false))
+    assert(group.getMessage.contains("group 1 holds 800000000 r-cliques"))
+    assert(group.getMessage.contains("group limit of 2^30"))
+    val total = intercept[IllegalArgumentException](
+      CliqueTable.slotLayout(Array(600000000, 600000000), hasBarriers = true))
+    assert(total.getMessage.contains(s"2 groups need ${(1L << 31) + 2} slots"))
+    assert(total.getMessage.contains(s"Int slot limit of ${Int.MaxValue}"))
   }
 
   test("two-level saves key words over one-level on overlapping cliques (§5.1)") {

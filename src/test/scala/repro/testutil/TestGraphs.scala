@@ -51,6 +51,25 @@ object TestGraphs {
     CSRGraph.fromEdges(base ++ planted, n)
   }
 
+  /** A seeded random permutation of 0 until n, as an orientation rank. */
+  def randomRank(n: Int, seed: Long): Array[Int] =
+    new Random(seed).shuffle((0 until n).toVector).toArray
+
+  /** `g` with every id v renamed to v · `factor`, on `n` vertices: wide ids
+    * for inputs whose r vertices do not fit one 64-bit key.
+    */
+  def spreadIds(g: CSRGraph, factor: Int, n: Int): CSRGraph =
+    CSRGraph.fromEdges(
+      for (v <- 0 until g.n; u <- g.neighbors(v) if v < u) yield (v * factor, u * factor), n)
+
+  /** The wide-id test input: a planted K7 on 40 vertices, and its ids spread
+    * by 1,637 over 2^16 vertices (16 bits per id, so 4 ids no longer fit the
+    * 62 key bits of [[repro.cliques.CliqueEncoding]]).
+    */
+  val WideFactor = 1637
+  def plantedK7: CSRGraph = randomWithCliques(40, 0.2, Seq(7), 43)
+  def plantedK7Wide: CSRGraph = spreadIds(plantedK7, WideFactor, 1 << 16)
+
   def path(n: Int): CSRGraph = CSRGraph.fromEdges((0 until n - 1).map(i => (i, i + 1)), n)
 
   def star(n: Int): CSRGraph = CSRGraph.fromEdges((1 until n).map(i => (0, i)), n)
