@@ -23,22 +23,22 @@ object RecListCliques {
   /** Enumerates every k-clique of the oriented graph `dg` (k ≥ 1). */
   def foreachClique(dg: DirectedGraph, k: Int)(consumerFactory: () => Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
-    Par.forBlocked(0, dg.n, grain = 16) { (lo, hi) =>
-      foreachCliqueFromRoots(dg, k, Iterator.range(lo, hi))(consumerFactory())
-    }
+    forRootBlocks(dg) { roots => foreachCliqueFromRoots(dg, k, roots)(consumerFactory()) }
   }
 
-  /** Counts k-cliques (a foreachClique wrapper; one atomic add per clique,
-    * which is fine at reproduction scales).
+  /** Counts k-cliques in parallel over [[foreachClique]]'s blocks of roots;
+    * each block adds its total to the shared sum once.
     */
   def countCliques(dg: DirectedGraph, k: Int): Long = {
-    val acc = new java.util.concurrent.atomic.AtomicLong(0L)
-    foreachClique(dg, k) { () => clique =>
-      acc.incrementAndGet()
-      val _ = clique
-    }
-    acc.get()
+    require(k >= 1, s"clique size must be >= 1, got $k")
+    val acc = new java.util.concurrent.atomic.LongAdder
+    forRootBlocks(dg) { roots => acc.add(countFromRoots(dg, k, roots)) }
+    acc.sum()
   }
+
+  /** Runs `f` on each block of root vertices, in parallel. */
+  private def forRootBlocks(dg: DirectedGraph)(f: Iterator[Int] => Unit): Unit =
+    Par.forBlocked(0, dg.n, grain = 16) { (lo, hi) => f(Iterator.range(lo, hi)) }
 
   /** Sequentially enumerates the k-cliques rooted at each vertex drawn from
     * `roots` (a root's cliques are those whose orientation-minimal vertex it
@@ -80,8 +80,8 @@ object RecListCliques {
   }
 
   /** Sequentially counts the k-cliques rooted at each vertex drawn from
-    * `roots`. Used by the Spark fan-out, where parallelism comes from the
-    * partitioning rather than from [[repro.par.Par]].
+    * `roots`. [[countCliques]] runs it over each block of roots; the Spark
+    * fan-out runs it over each partition's roots.
     */
   def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
     var total = 0L

@@ -113,23 +113,31 @@ object ArbNucleusDecomp {
     foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
       table.addCount(table.slotOf(sub), 1L)
     }
-    var sumCounts0 = 0L
-    table.foreachOccupied { slot => sumCounts0 += table.count(slot) }
+    val occupied = table.occupiedSlots
+    val sumCounts0 = new LongAdder
+    Par.forBlocked(0, occupied.length) { (lo, hi) =>
+      var sum = 0L
+      var i = lo
+      while (i < hi) { sum += table.count(occupied(i)); i += 1 }
+      sumCounts0.add(sum)
+    }
     val numSubsets = Util.choose(s, r)
-    val numS = sumCounts0 / numSubsets
+    val numS = sumCounts0.sum() / numSubsets
     val tCount = msSince(t0)
 
     // --- peel ----------------------------------------------------------------
     t0 = System.nanoTime()
     val capacity = table.capacity
     val core = new Array[Long](math.max(1, capacity))
-    java.util.Arrays.fill(core, -1L)
     // Int.MaxValue = alive; otherwise the round in which the slot was peeled
     val peeledRound = new Array[Int](math.max(1, capacity))
-    java.util.Arrays.fill(peeledRound, Int.MaxValue)
+    Par.forBlocked(0, core.length) { (lo, hi) =>
+      java.util.Arrays.fill(core, lo, hi, -1L)
+      java.util.Arrays.fill(peeledRound, lo, hi, Int.MaxValue)
+    }
 
     val buckets = new Bucketing(math.max(1, capacity))
-    table.foreachOccupied { slot => buckets.insert(slot, table.count(slot)) }
+    buckets.insertAll(occupied)(table.count)
 
     val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
     val peelable: PeelableGraph =
@@ -211,12 +219,7 @@ object ArbNucleusDecomp {
           discoveries.add(localDisc)
         }
 
-        val updated = agg.drain()
-        var u = 0
-        while (u < updated.length) {
-          buckets.update(updated(u), table.count(updated(u)))
-          u += 1
-        }
+        buckets.updateAll(agg.drain())(table.count)
 
         if (peelable != null) {
           val pairs = new Array[Int](2 * ids.length)
@@ -251,6 +254,9 @@ object ArbNucleusDecomp {
     )
     new NucleusResult(r, s, table, core, oldOf, stats)
   }
+
+  /** [[listSortedCliques]] sorts at most this many r-cliques on the calling thread. */
+  final val SortGrain = 1 << 16
 
   @inline private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
 
@@ -315,7 +321,8 @@ object ArbNucleusDecomp {
     * disjoint root ranges), so concatenation in root order suffices; without
     * relabeling each clique is id-sorted and the records are then sorted by
     * a stable counting sort over the `n` vertex ids on each column, last
-    * column first (LSD radix sort).
+    * column first (LSD radix sort), each pass parallel over blocks of
+    * records above [[SortGrain]] of them.
     */
   private[repro] def listSortedCliques(
       dg: DirectedGraph,
@@ -344,34 +351,40 @@ object ArbNucleusDecomp {
       totalSlots <= Int.MaxValue,
       s"${totalSlots / r} r-cliques × r = $r: $totalSlots slots exceed an Int array"
     )
-    val total = totalSlots.toInt
-    val flat = new Array[Int](total)
-    var off = 0
-    ordered.foreach { b =>
-      System.arraycopy(b.unsafeArray, 0, flat, off, b.size)
-      off += b.size
-    }
+    val flat = IntBuffer.concat(ordered)
+    val total = flat.length
     val num = total / math.max(1, r)
     if (!sortNeeded) return (flat, num)
 
-    // r stable counting passes, alternating between `flat` and a scratch array
+    // r stable counting passes, alternating between `flat` and a scratch
+    // array; each pass counts per block of records, then scatters each block
+    // in order from its bucket-major, block-minor offset. The blocks' n-entry
+    // histograms together hold no more entries than there are records.
+    val blocks = math.min(Par.blocksFor(num, SortGrain), math.max(1, num / math.max(1, n)))
     var src = flat
     var dst = new Array[Int](total)
     var c = r - 1
     while (c >= 0) {
-      val bucketStart = new Array[Int](n + 1)
-      var i = c
-      while (i < total) { bucketStart(src(i) + 1) += 1; i += r }
-      var v = 0
-      while (v < n) { bucketStart(v + 1) += bucketStart(v); v += 1 }
-      i = 0
-      while (i < total) {
-        val v = src(i + c)
-        System.arraycopy(src, i, dst, bucketStart(v) * r, r)
-        bucketStart(v) += 1
-        i += r
+      val (from, to, col) = (src, dst, c)
+      val hist = Array.ofDim[Int](blocks, n)
+      Par.forEachBlock(num, blocks) { (b, lo, hi) =>
+        val h = hist(b)
+        var i = lo * r + col
+        while (i < hi * r) { h(from(i)) += 1; i += r }
       }
-      val t = src; src = dst; dst = t
+      var next = 0
+      Par.toBlockOffsets(hist, n) { (_, count) => val at = next; next += count; at }
+      Par.forEachBlock(num, blocks) { (b, lo, hi) =>
+        val pos = hist(b)
+        var i = lo * r
+        while (i < hi * r) {
+          val v = from(i + col)
+          System.arraycopy(from, i, to, pos(v) * r, r)
+          pos(v) += 1
+          i += r
+        }
+      }
+      src = to; dst = from
       c -= 1
     }
     (src, num)

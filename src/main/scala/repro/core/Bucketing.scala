@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.par.Par
+
 /** Julienne-style bucketing structure (Dhulipala et al. [20], paper §3/§5.3).
   *
   * Maintains a map id → bucket value (the current s-clique count, clamped at
@@ -10,28 +12,43 @@ package repro.core
   * the minimum remaining bucket (the "skip over large ranges of empty
   * buckets" behaviour the paper credits for fast retrieval).
   *
-  * Lazy deletion: an id may sit in several stale bucket lists; entries are
-  * validated against the authoritative `bucketOf` at extraction time.
+  * Lazy deletion: an id may leave stale entries in the lists of buckets it
+  * moved down from; entries are validated against the authoritative
+  * `bucketOf` at extraction time. A live id beyond the window has exactly
+  * one overflow entry, and a move that stays beyond the window adds none, so
+  * no list ever holds an id twice.
+  *
+  * Ids are inserted and moved in batches (Julienne's `updateBuckets`): each
+  * id's bucket is computed in a parallel loop, then the ids are placed by a
+  * stable parallel counting sort on their destination list (per-block
+  * histograms, a prefix sum, a scatter), so every list keeps the order a
+  * sequential loop would give it. Extraction packs the current list in
+  * parallel. Batches of at most [[Bucketing.Grain]] ids run on the calling
+  * thread.
   */
 final class Bucketing(val capacity: Int, window: Int = 128) {
+  import Bucketing.Grain
 
   /** Current bucket per id; -1 = peeled or never inserted. */
   private val bucketOf = new Array[Long](capacity)
-  java.util.Arrays.fill(bucketOf, -1L)
+  Par.forBlocked(0, capacity)((lo, hi) => java.util.Arrays.fill(bucketOf, lo, hi, -1L))
 
-  private val lists = Array.fill(window)(new IntBuffer())
-  private val overflow = new IntBuffer()
+  /** `lists(j)` holds bucket `lo + j` for j < window; `lists(window)` is the overflow list. */
+  private val lists = Array.fill(window + 1)(new IntBuffer())
   private var lo = 0L        // bucket value of lists(0)
   private var cursor = 0     // next list index to inspect
   private var live = 0       // ids inserted and not yet extracted
 
   /** Inserts `id` with its initial bucket value (≥ 0). Call once per id. */
   def insert(id: Int, value: Long): Unit = {
-    require(value >= 0, s"bucket value must be >= 0, got $value")
-    require(bucketOf(id) == -1L, s"id $id already present")
-    bucketOf(id) = value
-    place(id, value)
+    lists(insertDest(id, value)) += id
     live += 1
+  }
+
+  /** [[insert]] for each of the distinct `ids`, with value `value(id)`. */
+  def insertAll(ids: Array[Int])(value: Int => Long): Unit = {
+    place(ids, ids.length)(id => insertDest(id, value(id)))
+    live += ids.length
   }
 
   /** Moves `id` to bucket `max(value, current frontier)` if that is lower
@@ -39,21 +56,83 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
     * may report cliques that were extracted in this same round).
     */
   def update(id: Int, value: Long): Unit = {
+    val d = updateDest(id, value, frontier)
+    if (d >= 0) lists(d) += id
+  }
+
+  /** [[update]] for each of the distinct `ids`, to `value(id)`. */
+  def updateAll(ids: Array[Int])(value: Int => Long): Unit = {
+    val f = frontier
+    place(ids, ids.length)(id => updateDest(id, value(id), f))
+  }
+
+  /** Records `id`'s first bucket and returns its list. */
+  private def insertDest(id: Int, value: Long): Int = {
+    require(value >= 0, s"bucket value must be >= 0, got $value")
+    require(bucketOf(id) == -1L, s"id $id already present")
+    bucketOf(id) = value
+    listOf(value)
+  }
+
+  /** Moves `id` down to `max(value, f)` if that is lower, and returns the
+    * list it joins, or -1 for none.
+    */
+  private def updateDest(id: Int, value: Long, f: Long): Int = {
     val cur = bucketOf(id)
-    if (cur == -1L) return
-    val clamped = math.max(value, frontier)
-    if (clamped < cur) {
-      bucketOf(id) = clamped
-      place(id, clamped)
-    }
+    if (cur == -1L) return -1
+    val clamped = math.max(value, f)
+    if (clamped >= cur) return -1
+    bucketOf(id) = clamped
+    // beyond the window, cur is too: the id already has its overflow entry
+    if (clamped - lo < window) (clamped - lo).toInt else -1
   }
 
   /** The minimum bucket value that can still be extracted. */
   def frontier: Long = lo + cursor
 
-  private def place(id: Int, value: Long): Unit = {
+  private def listOf(value: Long): Int = {
     val rel = value - lo
-    if (rel < window) lists(rel.toInt) += id else overflow += id
+    if (rel < window) rel.toInt else window
+  }
+
+  /** Appends each of `ids(0 until n)` to the list `dest(id)` returns
+    * (-1 = none), calling `dest` once per id, keeping `ids`' order within
+    * each list. `dest` may run in parallel; the ids are distinct.
+    */
+  private def place(ids: Array[Int], n: Int)(dest: Int => Int): Unit = {
+    val blocks = Par.blocksFor(n, Grain)
+    if (blocks == 1) {
+      var i = 0
+      while (i < n) {
+        val d = dest(ids(i))
+        if (d >= 0) lists(d) += ids(i)
+        i += 1
+      }
+    } else {
+      val destOf = new Array[Int](n)
+      val hist = Array.ofDim[Int](blocks, window + 1)
+      Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
+        val h = hist(b)
+        var i = blo
+        while (i < bhi) {
+          val d = dest(ids(i))
+          destOf(i) = d
+          if (d >= 0) h(d) += 1
+          i += 1
+        }
+      }
+      Par.toBlockOffsets(hist, window + 1)((d, total) => lists(d).extend(total))
+      val arrs = lists.map(_.unsafeArray)
+      Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
+        val pos = hist(b)
+        var i = blo
+        while (i < bhi) {
+          val d = destOf(i)
+          if (d >= 0) { arrs(d)(pos(d)) = ids(i); pos(d) += 1 }
+          i += 1
+        }
+      }
+    }
   }
 
   /** Extracts the minimum non-empty bucket: returns (bucketValue, ids) or
@@ -65,12 +144,19 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
         val l = lists(cursor)
         if (!l.isEmpty) {
           val value = lo + cursor
-          val out = new IntBuffer(l.size)
-          l.foreach { id => if (bucketOf(id) == value) { out += id; bucketOf(id) = -1L } }
+          val arr = l.unsafeArray
+          val out = IntBuffer.collectBlocks(l.size, Grain) { (blo, bhi, part) =>
+            var i = blo
+            while (i < bhi) {
+              val id = arr(i)
+              if (bucketOf(id) == value) { part += id; bucketOf(id) = -1L }
+              i += 1
+            }
+          }
           l.clear()
-          if (!out.isEmpty) {
-            live -= out.size
-            return (value, out.toArray)
+          if (out.length > 0) {
+            live -= out.length
+            return (value, out)
           }
         } else cursor += 1
         // a non-empty list that yielded nothing (all stale) loops again and
@@ -85,32 +171,39 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
     * re-materialize the window starting there (skipping empty ranges).
     */
   private def rematerialize(): Unit = {
-    var newLo = Long.MaxValue
-    overflow.foreach { id =>
-      val b = bucketOf(id)
-      if (b >= 0 && b < newLo) newLo = b
+    val old = lists(window)
+    val arr = old.unsafeArray
+    val n = old.size
+    val blocks = Par.blocksFor(n, Grain)
+    val mins = new Array[Long](blocks)
+    Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
+      var m = Long.MaxValue
+      var i = blo
+      while (i < bhi) {
+        val v = bucketOf(arr(i))
+        if (v >= 0 && v < m) m = v
+        i += 1
+      }
+      mins(b) = m
     }
+    val newLo = mins.min
+    lists(window) = new IntBuffer()
     if (newLo == Long.MaxValue) {
       // only stale entries remained
-      overflow.clear()
       if (live > 0)
         throw new IllegalStateException(s"bucketing invariant violated: $live live ids unreachable")
       return
     }
-    val old = overflow.toArray
-    overflow.clear()
     lo = newLo
     cursor = 0
-    var i = 0
-    val seen = new java.util.BitSet(capacity)
-    while (i < old.length) {
-      val id = old(i)
-      val b = bucketOf(id)
-      if (b >= 0 && !seen.get(id)) {
-        seen.set(id)
-        place(id, b)
-      }
-      i += 1
+    place(arr, n) { id =>
+      val v = bucketOf(id)
+      if (v < 0) -1 else listOf(v)
     }
   }
+}
+
+object Bucketing {
+  /** Batches and lists of at most this many ids are handled on the calling thread. */
+  final val Grain = 4096
 }

@@ -170,19 +170,40 @@ final class CliqueTable private (
   def count(slot: Int): Long = counts.get(slot)
   def addCount(slot: Int, delta: Long): Long = counts.addAndGet(slot, delta)
 
+  /** Calls `f` on every occupied slot, ascending, on the calling thread. */
   def foreachOccupied(f: Int => Unit): Unit = {
-    var g = 0
-    while (g < numGroups) {
-      val base = groupOffsets(g)
-      val cap = groupCaps(g)
-      var i = 0
-      while (i < cap) {
-        if ((keyAt(g, base + i) & EmptyBit) == 0L) f(base + i)
-        i += 1
-      }
-      g += 1
-    }
+    val slots = occupiedSlots
+    var i = 0
+    while (i < slots.length) { f(slots(i)); i += 1 }
   }
+
+  /** Every occupied slot, ascending, found by one parallel pass over blocks
+    * of the slot space (not of groups, so a one-level table splits too).
+    */
+  def occupiedSlots: Array[Int] =
+    IntBuffer.collectBlocks(capacity, CliqueTable.OccupiedGrain) { (lo, hi, out) =>
+      var slot = lo
+      if (contiguous) {
+        // barrier cells carry the empty bit too
+        while (slot < hi) {
+          if ((keysContig(slot) & EmptyBit) == 0L) out += slot
+          slot += 1
+        }
+      } else {
+        // no barriers: group g's slots are groupOffsets(g) until groupOffsets(g + 1)
+        var g = groupOfSlot(lo)
+        while (slot < hi) {
+          while (groupOffsets(g + 1) <= slot) g += 1
+          val keys = keysByGroup(g)
+          val base = groupOffsets(g)
+          val end = math.min(hi, groupOffsets(g + 1))
+          while (slot < end) {
+            if ((keys(slot - base) & EmptyBit) == 0L) out += slot
+            slot += 1
+          }
+        }
+      }
+    }
 
   /** Paper-unit memory accounting (see [[TableMemory]]). */
   def memory: TableMemory = {
@@ -208,6 +229,9 @@ final class CliqueTable private (
 }
 
 object CliqueTable {
+
+  /** [[CliqueTable.occupiedSlots]] scans at least this many slots per block. */
+  final val OccupiedGrain = 1 << 15
 
   /** True iff `scheme` can represent r-cliques over n vertices with 64-bit
     * last-level keys (the analogue of the paper's "one-level T is

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray}
 import repro.par.Par
 
 /** Collects U — the set of r-clique slots whose s-clique count changed in
@@ -163,14 +163,12 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
   private val table = new java.util.concurrent.atomic.AtomicLongArray(maxCap)
   private var mask = 63
   private var round = 0L
-  private val inserted = new AtomicLong(0)
 
   def beginRound(expectedUpdates: Long): Unit = {
     round += 1
     val bound = math.min(expectedUpdates, capacity.toLong)
     val want = Util.nextPow2(math.max(64L, bound * 2L).min(maxCap.toLong).toInt)
     mask = want - 1
-    inserted.set(0)
   }
 
   def offer(slot: Int): Unit = {
@@ -182,37 +180,25 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
       if (cur == tag) return
       if ((cur >>> 32) != round) {
         // stale entry from an earlier round == empty cell
-        if (table.compareAndSet(i, cur, tag)) { inserted.incrementAndGet(); return }
+        if (table.compareAndSet(i, cur, tag)) return
         // CAS lost: re-read the same cell (it may now hold `tag`)
       } else i = (i + 1) & m
     }
   }
 
-  /** Scans the probe region in parallel blocks of
+  /** Scans the probe region in parallel blocks of at least
     * [[HashTableAggregator.DrainBlock]] cells; the slots come out in cell
     * order, as a sequential scan would give them.
     */
-  def drain(): Array[Int] = {
-    import HashTableAggregator.DrainBlock
-    val size = mask + 1
-    val numBlocks = (size + DrainBlock - 1) / DrainBlock
-    val parts = new Array[Array[Int]](numBlocks)
-    Par.forRange(0, numBlocks, grain = 1) { b =>
-      val hi = math.min(size, (b + 1) * DrainBlock)
-      val part = new IntBuffer()
-      var i = b * DrainBlock
+  def drain(): Array[Int] =
+    IntBuffer.collectBlocks(mask + 1, HashTableAggregator.DrainBlock) { (lo, hi, part) =>
+      var i = lo
       while (i < hi) {
         val v = table.get(i)
         if ((v >>> 32) == round) part += (v & 0xFFFFFFFFL).toInt
         i += 1
       }
-      parts(b) = part.toArray
     }
-    val out = new Array[Int](inserted.get().toInt)
-    var off = 0
-    parts.foreach { p => System.arraycopy(p, 0, out, off, p.length); off += p.length }
-    out
-  }
 }
 
 object HashTableAggregator {

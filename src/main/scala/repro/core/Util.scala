@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.par.Par
+
 /** Growable primitive int buffer (no boxing). */
 final class IntBuffer(initialCapacity: Int = 16) {
   private var arr = new Array[Int](math.max(4, initialCapacity))
@@ -17,6 +19,16 @@ final class IntBuffer(initialCapacity: Int = 16) {
 
   def clear(): Unit = len = 0
 
+  /** Grows the buffer by `k` cells, to be written through [[unsafeArray]],
+    * and returns the index of the first one.
+    */
+  def extend(k: Int): Int = {
+    val at = len
+    if (at + k > arr.length) arr = java.util.Arrays.copyOf(arr, math.max(at + k, arr.length * 2))
+    len = at + k
+    at
+  }
+
   def toArray: Array[Int] = java.util.Arrays.copyOf(arr, len)
 
   /** Direct access to the backing array (valid up to [[size]]). */
@@ -25,6 +37,32 @@ final class IntBuffer(initialCapacity: Int = 16) {
   def foreach(f: Int => Unit): Unit = {
     var i = 0
     while (i < len) { f(arr(i)); i += 1 }
+  }
+}
+
+object IntBuffer {
+
+  /** The buffers' contents, concatenated in order, copied in parallel. */
+  def concat(parts: Array[IntBuffer]): Array[Int] = {
+    val starts = new Array[Int](parts.length + 1)
+    var i = 0
+    while (i < parts.length) { starts(i + 1) = starts(i) + parts(i).size; i += 1 }
+    val out = new Array[Int](starts(parts.length))
+    Par.forRange(0, parts.length, grain = 1) { i =>
+      System.arraycopy(parts(i).arr, 0, out, starts(i), parts(i).size)
+    }
+    out
+  }
+
+  /** Runs `fill(lo, hi, out)` on the blocks of [0, n) (see
+    * [[Par.blocksFor]]) in parallel, each block into its own buffer, and
+    * returns the buffers concatenated in block order.
+    */
+  def collectBlocks(n: Int, grain: Int)(fill: (Int, Int, IntBuffer) => Unit): Array[Int] = {
+    val blocks = Par.blocksFor(n, grain)
+    val parts = Array.fill(blocks)(new IntBuffer())
+    Par.forEachBlock(n, blocks)((b, lo, hi) => fill(lo, hi, parts(b)))
+    concat(parts)
   }
 }
 

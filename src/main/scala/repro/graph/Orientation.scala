@@ -1,5 +1,7 @@
 package repro.graph
 
+import repro.par.Par
+
 /** Low out-degree orientations (§3 "O(α)-Orientation", §5.4 relabeling).
   *
   * The paper obtains an O(α)-orientation via parallel Goodrich–Pszona /
@@ -85,30 +87,32 @@ object Orientation {
   }
 
   /** Orients `g` along `rank`: each undirected edge {u,v} becomes u→v iff
-    * rank(u) < rank(v). Out-adjacency stays sorted by vertex id.
+    * rank(u) < rank(v). Out-adjacency stays sorted by vertex id. Both passes
+    * over the vertices run in parallel.
     */
   def orient(g: CSRGraph, rank: Array[Int]): DirectedGraph = {
     val n = g.n
-    val outDeg = new Array[Int](n)
-    var v = 0
-    while (v < n) {
-      var c = 0
-      g.foreachNeighbor(v)(u => if (rank(v) < rank(u)) c += 1)
-      outDeg(v) = c
-      v += 1
-    }
+    val off = g.offsets
+    val nbr = g.adj
     val offsets = new Array[Int](n + 1)
-    var acc = 0
-    v = 0
-    while (v < n) { offsets(v) = acc; acc += outDeg(v); v += 1 }
-    offsets(n) = acc
-    val adj = new Array[Int](acc)
-    v = 0
-    while (v < n) {
+    Par.forRange(0, n) { v =>
+      var c = 0
+      var i = off(v)
+      while (i < off(v + 1)) { if (rank(v) < rank(nbr(i))) c += 1; i += 1 }
+      offsets(v + 1) = c
+    }
+    var v = 0
+    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
+    val adj = new Array[Int](offsets(n))
+    Par.forRange(0, n) { v =>
+      // source adjacency is sorted by id, and we append in that order
       var w = offsets(v)
-      g.foreachNeighbor(v) { u => if (rank(v) < rank(u)) { adj(w) = u; w += 1 } }
-      // source adjacency is sorted by id, and we appended in that order
-      v += 1
+      var i = off(v)
+      while (i < off(v + 1)) {
+        val u = nbr(i)
+        if (rank(v) < rank(u)) { adj(w) = u; w += 1 }
+        i += 1
+      }
     }
     new DirectedGraph(offsets, adj)
   }

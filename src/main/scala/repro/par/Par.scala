@@ -71,6 +71,50 @@ object Par {
     }
   }
 
+  /** Number of fixed blocks for a two-pass parallel loop over `n` items
+    * (count, then scatter): 1 when `n <= grain` or on one thread, so the
+    * loop runs on the caller's thread, else up to 4 per worker with at
+    * least `grain` items each.
+    */
+  def blocksFor(n: Int, grain: Int): Int = {
+    val p = parallelism
+    if (p <= 1 || n <= grain) 1
+    else math.min((n + grain - 1L) / grain, p * 4L).toInt
+  }
+
+  /** Runs `f(b, lo, hi)` for each of the `blocks` contiguous, near-equal
+    * blocks of [0, n), in parallel. The boundaries depend only on `n` and
+    * `blocks`, so two passes over the same split see the same blocks.
+    */
+  def forEachBlock(n: Int, blocks: Int)(f: (Int, Int, Int) => Unit): Unit =
+    forRange(0, blocks, grain = 1) { b =>
+      f(b, (b.toLong * n / blocks).toInt, ((b + 1L) * n / blocks).toInt)
+    }
+
+  /** Turns per-block bucket counts `hist(b)(d)` into write positions, in
+    * place: `firstPos(d, total)` gets bucket d's total count and returns
+    * where the bucket starts, and block b starts in bucket d after the items
+    * of blocks 0 until b (bucket-major, block-minor). A scatter that visits
+    * each block's items in order is therefore stable.
+    */
+  def toBlockOffsets(hist: Array[Array[Int]], buckets: Int)(firstPos: (Int, Int) => Int): Unit = {
+    var d = 0
+    while (d < buckets) {
+      var total = 0
+      var b = 0
+      while (b < hist.length) { total += hist(b)(d); b += 1 }
+      var pos = firstPos(d, total)
+      b = 0
+      while (b < hist.length) {
+        val c = hist(b)(d)
+        hist(b)(d) = pos
+        pos += c
+        b += 1
+      }
+      d += 1
+    }
+  }
+
   /** Sorts `a(lo until hi)` in place with the JDK's parallel sort, run in
     * [[pool]] so that a [[withThreads]] scope bounds it like every loop.
     */

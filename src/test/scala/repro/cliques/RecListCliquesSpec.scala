@@ -279,6 +279,20 @@ class RecListCliquesSpec extends SparkSpec {
     }
   }
 
+  test("listSortedCliques under 4 threads, above its sort grain, is identical to a sorted-merge listing") {
+    val g = TestGraphs.random(2500, 0.04, 71)
+    val dg = Orientation.orient(g)
+    Par.withThreads(4) {
+      for (r <- 2 to 3) {
+        val expected = mergeListing(dg, r)
+        assert(expected.length / r > ArbNucleusDecomp.SortGrain, s"r=$r: below the grain")
+        val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, r, sortNeeded = true, g.n)
+        assert(num * r === expected.length, s"r=$r")
+        assert(java.util.Arrays.equals(flat, expected), s"r=$r")
+      }
+    }
+  }
+
   for (threads <- Seq(1, 4)) {
     test(s"a listing consumer that re-enters commonNeighbors and countCliques matches brute force: $threads thread(s)") {
       val g = TestGraphs.random(40, 0.35, 37)

@@ -207,4 +207,29 @@ class ArbNucleusSpec extends SparkSpec {
     assert(par.coreMap === seq.coreMap)
     assert(par.stats.rounds === seq.stats.rounds)
   }
+
+  // Above every grain of the parallel passes: more than Bucketing.Grain
+  // slots peeled in round 1 (all core-0 slots) and, at (2,3), more than
+  // SortGrain r-cliques for the unrelabeled listing to sort.
+  for ((r, s, g) <- Seq(
+         (2, 3, TestGraphs.randomWithCliques(3000, 0.02, Seq(30, 20), 61)),
+         (3, 4, TestGraphs.randomWithCliques(1000, 0.08, Seq(20, 15), 67))
+       )) {
+    test(s"bench-scale ($r,$s), optimal: 1 thread and 4 threads give identical cores, rounds and work counters") {
+      val cfg = NucleusConfig.optimal(r, s, g.n)
+      val one = repro.par.Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s, cfg))
+      val four = repro.par.Par.withThreads(4)(ArbNucleusDecomp.decompose(g, r, s, cfg))
+      assert(one.core.count(_ == 0L) > Bucketing.Grain, "round 1 peels too few slots")
+      if (r == 2) {
+        assert(!cfg.relabel && cfg.contraction && cfg.aggregation == UpdateAggregator.HashTableKind)
+        assert(one.stats.numRCliques > ArbNucleusDecomp.SortGrain, "too few r-cliques to sort in parallel")
+        assert(one.stats.contractions > 0)
+      }
+      assert(java.util.Arrays.equals(one.core, four.core))
+      assert(one.stats.rounds === four.stats.rounds)
+      assert(one.stats.updateScliqueDiscoveries === four.stats.updateScliqueDiscoveries)
+      assert(one.stats.contractions === four.stats.contractions)
+      assert(one.stats.numSCliques === four.stats.numSCliques)
+    }
+  }
 }

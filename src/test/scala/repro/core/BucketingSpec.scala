@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.par.Par
 import scala.util.Random
 
 /** The Julienne-style bucketing structure against a naive simulation. */
@@ -105,5 +106,73 @@ class BucketingSpec extends SparkSpec {
       }
     }
     assert(b.nextBucket() === null)
+  }
+
+  test("single-id insert keeps its require messages") {
+    val b = new Bucketing(4)
+    val neg = intercept[IllegalArgumentException](b.insert(0, -1L))
+    assert(neg.getMessage === "requirement failed: bucket value must be >= 0, got -1")
+    b.insert(3, 2L)
+    val twice = intercept[IllegalArgumentException](b.insert(3, 5L))
+    assert(twice.getMessage === "requirement failed: id 3 already present")
+  }
+
+  /** Peels `n` ids with random initial buckets under `threads` workers,
+    * moving a random half of the survivors after every extraction: some
+    * down within the window, some within the overflow, some up (no-ops),
+    * with batches above [[Bucketing.Grain]]. Checks every extraction
+    * against a naive priority structure and returns the extracted ids in
+    * order.
+    */
+  private def peelAgainstNaive(threads: Int, n: Int, window: Int, seed: Long): Seq[(Long, Seq[Int])] =
+    Par.withThreads(threads) {
+      val rnd = new Random(seed)
+      val b = new Bucketing(n, window)
+      // a quarter start in bucket 0, so the first extraction is above the grain
+      val value = Array.tabulate(n)(_ => if (rnd.nextInt(4) == 0) 0L else rnd.nextInt(20 * window).toLong)
+      val order = rnd.shuffle((0 until n).toVector).toArray
+      b.insertAll(order)(value)
+      val alive = Array.fill(n)(true)
+      var remaining = n
+      val out = Seq.newBuilder[(Long, Seq[Int])]
+      while (remaining > 0) {
+        val (v, ids) = b.nextBucket()
+        val expectMin = (0 until n).iterator.filter(alive).map(value).min
+        assert(v === expectMin)
+        val expected = (0 until n).filter(i => alive(i) && value(i) == v)
+        assert(ids.sorted.toSeq === expected, s"bucket $v")
+        ids.foreach(i => alive(i) = false)
+        remaining -= ids.length
+        out += v -> ids.toSeq
+        val moved = rnd.shuffle((0 until n).filter(alive)).take(remaining / 2).toArray
+        val target = new Array[Long](n)
+        moved.foreach { i =>
+          target(i) = rnd.nextInt(3) match {
+            case 0 => v + rnd.nextInt(window)                   // into (or within) the window
+            case 1 => value(i) - rnd.nextInt(3 * window)        // within the overflow, if it started there
+            case _ => value(i) + 1 + rnd.nextInt(window)        // up: ignored
+          }
+          val clamped = math.max(target(i), v)
+          if (clamped < value(i)) value(i) = clamped
+        }
+        // peeled ids are ignored too
+        b.updateAll(moved ++ ids)(i => if (alive(i)) target(i) else 0L)
+      }
+      assert(b.nextBucket() === null)
+      out.result()
+    }
+
+  test("batched insert and update match a naive priority structure under 4 threads, above the grain") {
+    val n = 6 * Bucketing.Grain
+    val got = peelAgainstNaive(4, n, window = 16, seed = 11)
+    val all = got.flatMap(_._2)
+    assert(all.length === n)
+    assert(all.distinct.length === n, "an id was extracted twice")
+    assert(got.exists(_._2.length > Bucketing.Grain), "no extraction above the grain")
+  }
+
+  test("batched placement keeps each list's sequential order: 4 threads extract what 1 thread does") {
+    val n = 5 * Bucketing.Grain
+    assert(peelAgainstNaive(4, n, window = 8, seed = 5) === peelAgainstNaive(1, n, window = 8, seed = 5))
   }
 }

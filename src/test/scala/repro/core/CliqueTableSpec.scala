@@ -2,7 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.baselines.RefNucleus
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, Orientation}
+import repro.par.Par
 import repro.testutil.TestGraphs
 
 /** The multi-level hash table T (§5.1–5.3): forward/inverse maps, counts,
@@ -58,6 +59,27 @@ class CliqueTableSpec extends SparkSpec {
         val all = RefNucleus.allCliques(g, r).map(_.toSeq).toSet
         if (!all.contains(probe.toSeq)) assert(table.slotOf(probe) === -1)
       }
+    }
+  }
+
+  private lazy val occupancyInput = {
+    val g = TestGraphs.random(900, 0.1, 23)
+    val (flat, num) = ArbNucleusDecomp.listSortedCliques(Orientation.orient(g), 3, sortNeeded = true, g.n)
+    (g.n, flat, num)
+  }
+
+  for {
+    scheme <- Seq(OneLevel, TwoLevelArray, MultiLevel(2), MultiLevel(3))
+    (contig, inv) <- layouts
+  } {
+    test(s"occupiedSlots under 4 threads are the cliques' slots, ascending: ${scheme.label} contig=$contig ${inv.label}") {
+      val (n, flat, num) = occupancyInput
+      val table = CliqueTable.build(flat, num, 3, n, scheme, contig, inv)
+      assert(table.capacity > 4 * CliqueTable.OccupiedGrain, "the slot space must span several blocks")
+      val expected = Array.tabulate(num)(i => table.slotOf(flat, 3 * i)).sorted
+      assert(expected.forall(_ >= 0))
+      val got = Par.withThreads(4)(table.occupiedSlots)
+      assert(got.toSeq === expected.toSeq)
     }
   }
 

@@ -92,6 +92,23 @@ class UpdateAggregatorSpec extends SparkSpec {
     }
   }
 
+  test("hash-table: after contended offers from 4 workers, the drain returns every offered slot exactly once") {
+    Par.withThreads(4) {
+      val agg = new HashTableAggregator(1 << 18)
+      for ((distinct, round) <- Seq(200000, 3000, 90000).zipWithIndex) {
+        agg.beginRound(distinct.toLong)
+        // every worker offers every slot, in a different order, at once
+        Par.forRange(0, 4, grain = 1) { w =>
+          var i = 0
+          while (i < distinct) { agg.offer((i * (2 * w + 1) + round) % distinct); i += 1 }
+        }
+        val got = agg.drain()
+        assert(got.length === distinct, s"round $round")
+        assert(got.sorted.toSeq === (0 until distinct), s"round $round")
+      }
+    }
+  }
+
   test("list-buffer: more threads than blocks still collects all") {
     val agg = UpdateAggregator(UpdateAggregator.ListBufferKind, 50000)
     agg.beginRound(50000)

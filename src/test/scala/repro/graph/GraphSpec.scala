@@ -156,6 +156,17 @@ class GraphSpec extends SparkSpec {
     assert(count === g.m)
   }
 
+  test("orient gives identical arrays on 1 thread and on 4") {
+    val g = TestGraphs.random(3000, 0.01, 29)
+    for (rank <- Seq(Orientation.ranks(g), TestGraphs.randomRank(g.n, 29))) {
+      val one = repro.par.Par.withThreads(1)(Orientation.orient(g, rank))
+      val four = repro.par.Par.withThreads(4)(Orientation.orient(g, rank))
+      assert(java.util.Arrays.equals(one.offsets, four.offsets))
+      assert(java.util.Arrays.equals(one.adj, four.adj))
+      assert(one.adj.length === g.m)
+    }
+  }
+
   test("out-adjacency is sorted by id (intersection precondition)") {
     val g = TestGraphs.random(40, 0.25, 13)
     for (dg <- Seq(Orientation.orient(g), Orientation.orient(g, TestGraphs.randomRank(g.n, 13)))) {
