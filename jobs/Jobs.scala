@@ -23,83 +23,36 @@ object JobSession {
   }
 }
 
-object Table1Rho {
+/** One evaluation table as a spark-submit entrypoint; [[RunAll]] runs the
+  * same tables in sequence.
+  */
+sealed abstract class TableJob(val run: SparkSession => Unit) {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.local()
-    try Tables.table1Rho(spark, Harness.snapNames, maxS = 7)
+    try run(spark)
     finally spark.stop()
   }
 }
 
-object Table2TOpts {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table2TOpts(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5)))
-    finally spark.stop()
-  }
-}
+object Table1Rho extends TableJob(Tables.table1Rho(_, Harness.snapNames, maxS = 7))
 
-object Table3Space {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table3Space(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5)))
-    finally spark.stop()
-  }
-}
+object Table2TOpts extends TableJob(Tables.table2TOpts(_, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5))))
 
-object Table4OtherOpts {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table4OtherOpts(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4)))
-    finally spark.stop()
-  }
-}
+object Table3Space extends TableJob(Tables.table3Space(_, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5))))
 
-object Table5Baselines {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table5Baselines(spark, Harness.snapNames)
-    finally spark.stop()
-  }
-}
+object Table4OtherOpts extends TableJob(Tables.table4OtherOpts(_, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4))))
 
-object Table6AllRS {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table6AllRS(spark, Harness.snapNames, maxS = 7)
-    finally spark.stop()
-  }
-}
+object Table5Baselines extends TableJob(Tables.table5Baselines(_, Harness.snapNames))
 
-object Table7Scaling {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table7Scaling(spark, Seq("dblp-lite", "skitter-lite", "livejournal-lite"))
-    finally spark.stop()
-  }
-}
+object Table6AllRS extends TableJob(Tables.table6AllRS(_, Harness.snapNames, maxS = 7))
 
-object Table8Rmat {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try Tables.table8Rmat(spark)
-    finally spark.stop()
-  }
-}
+object Table7Scaling extends TableJob(Tables.table7Scaling(_, Seq("dblp-lite", "skitter-lite", "livejournal-lite")))
+
+object Table8Rmat extends TableJob(Tables.table8Rmat(_))
 
 /** Runs every table in sequence (the full evaluation). */
-object RunAll {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.local()
-    try {
-      Tables.table1Rho(spark, Harness.snapNames, maxS = 7)
-      Tables.table2TOpts(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5)))
-      Tables.table3Space(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4), (4, 5)))
-      Tables.table4OtherOpts(spark, Harness.snapNames, Seq((2, 3), (2, 4), (3, 4)))
-      Tables.table5Baselines(spark, Harness.snapNames)
-      Tables.table6AllRS(spark, Harness.snapNames, maxS = 7)
-      Tables.table7Scaling(spark, Seq("dblp-lite", "skitter-lite", "livejournal-lite"))
-      Tables.table8Rmat(spark)
-    } finally spark.stop()
-  }
-}
+object RunAll
+    extends TableJob(spark =>
+      Seq(Table1Rho, Table2TOpts, Table3Space, Table4OtherOpts, Table5Baselines, Table6AllRS, Table7Scaling, Table8Rmat)
+        .foreach(_.run(spark))
+    )

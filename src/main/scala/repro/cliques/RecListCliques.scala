@@ -12,11 +12,15 @@ import repro.par.Par
   * (candidate, vertex) step scans one out-list, so with an O(α)-oriented DAG
   * this lists all c-cliques in O(mα^{c−2}) work.
   *
-  * Parallelism is over root vertices ([[Par.forBlocked]]); each parallel
+  * Parallelism is over blocks of at least [[RootGrain]] root vertices, split
+  * by [[Par.blocksFor]] into contiguous, disjoint, ascending ranges; each
   * block gets its own consumer (from `consumerFactory`), scratch buffers and
   * stamp array, so consumers can accumulate thread-locally without
-  * contention. The clique buffer passed to consumers is reused — copy it if
-  * you keep it. Vertices appear in orientation (rank) order.
+  * contention. A caller that keeps one buffer per block and concatenates
+  * them in block order (`listSortedCliques`, through
+  * [[repro.core.IntBuffer.collectBlocks]]) gets the cliques grouped by
+  * ascending root. The clique buffer passed to consumers is reused — copy it
+  * if you keep it. Vertices appear in orientation (rank) order.
   */
 object RecListCliques {
 
@@ -36,16 +40,19 @@ object RecListCliques {
     acc.sum()
   }
 
+  /** Roots per block, at least, of the parallel listings. */
+  private[repro] final val RootGrain = 16
+
   /** Runs `f` on each block of root vertices, in parallel. */
   private def forRootBlocks(dg: DirectedGraph)(f: Iterator[Int] => Unit): Unit =
-    Par.forBlocked(0, dg.n, grain = 16) { (lo, hi) => f(Iterator.range(lo, hi)) }
+    Par.forBlocked(0, dg.n, RootGrain) { (lo, hi) => f(Iterator.range(lo, hi)) }
 
   /** Sequentially enumerates the k-cliques rooted at each vertex drawn from
     * `roots` (a root's cliques are those whose orientation-minimal vertex it
-    * is), in root order. The parallel [[foreachClique]] runs it over each
-    * block of roots; the Spark fan-out runs it over each partition's roots.
+    * is), in root order. The parallel listings run it over each block of
+    * roots.
     */
-  def foreachCliqueFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int])(f: Array[Int] => Unit): Unit = {
+  private[repro] def foreachCliqueFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int])(f: Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
     val clique = new Array[Int](k)
     val off = dg.offsets
@@ -80,10 +87,9 @@ object RecListCliques {
   }
 
   /** Sequentially counts the k-cliques rooted at each vertex drawn from
-    * `roots`. [[countCliques]] runs it over each block of roots; the Spark
-    * fan-out runs it over each partition's roots.
+    * `roots`. [[countCliques]] runs it over each block of roots.
     */
-  def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
+  private[repro] def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
     var total = 0L
     foreachCliqueFromRoots(dg, k, roots)(_ => total += 1)
     total

@@ -56,13 +56,6 @@ final class NucleusResult(
     }
     out.result()
   }
-
-  /** Histogram core value → number of r-cliques (cheap result fingerprint). */
-  def coreHistogram: Map[Long, Long] = {
-    val m = scala.collection.mutable.Map.empty[Long, Long]
-    table.foreachOccupied { slot => m.updateWith(core(slot)) { c => Some(c.getOrElse(0L) + 1) } }
-    m.toMap
-  }
 }
 
 /** ARB-NUCLEUS-DECOMP (paper Algorithm 2): parallel (r,s) nucleus
@@ -255,9 +248,6 @@ object ArbNucleusDecomp {
     new NucleusResult(r, s, table, core, oldOf, stats)
   }
 
-  /** [[listSortedCliques]] sorts at most this many r-cliques on the calling thread. */
-  final val SortGrain = 1 << 16
-
   @inline private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
 
   /** The count phase's enumeration (Algorithm 2's initial s-clique
@@ -316,13 +306,13 @@ object ArbNucleusDecomp {
   }
 
   /** Lists all r-cliques into a flattened, lexicographically sorted array.
-    * With a rank-relabeled graph the enumeration order is already sorted
-    * (each block of roots emits lexicographically, blocks cover ascending
-    * disjoint root ranges), so concatenation in root order suffices; without
+    * Each block of roots ([[RecListCliques.RootGrain]]) lists into its own
+    * buffer, and the buffers are concatenated in block order, so the cliques
+    * come out grouped by ascending root. With a rank-relabeled graph that is
+    * already sorted (each root's cliques come out lexicographically); without
     * relabeling each clique is id-sorted and the records are then sorted by
     * a stable counting sort over the `n` vertex ids on each column, last
-    * column first (LSD radix sort), each pass parallel over blocks of
-    * records above [[SortGrain]] of them.
+    * column first (LSD radix sort), each pass a [[Par.scatter]].
     */
   private[repro] def listSortedCliques(
       dg: DirectedGraph,
@@ -330,52 +320,30 @@ object ArbNucleusDecomp {
       sortNeeded: Boolean,
       n: Int
   ): (Array[Int], Int) = {
-    val buffers = new java.util.concurrent.ConcurrentLinkedQueue[IntBuffer]()
-    RecListCliques.foreachClique(dg, r) { () =>
-      val buf = new IntBuffer(1024)
-      buffers.add(buf)
+    val flat = IntBuffer.collectBlocks(dg.n, RecListCliques.RootGrain) { (lo, hi, buf) =>
       val tmp = new Array[Int](r)
-      clique => {
+      RecListCliques.foreachCliqueFromRoots(dg, r, Iterator.range(lo, hi)) { clique =>
         System.arraycopy(clique, 0, tmp, 0, r)
         if (sortNeeded) Util.insertionSort(tmp, r)
         var i = 0
         while (i < r) { buf += tmp(i); i += 1 }
       }
     }
-    import scala.jdk.CollectionConverters._
-    val nonEmpty = buffers.asScala.filter(_.size > 0).toArray
-    // order blocks by their first clique's first vertex (disjoint root ranges)
-    val ordered = nonEmpty.sortBy(b => b(0))
-    val totalSlots = ordered.iterator.map(_.size.toLong).sum
-    require(
-      totalSlots <= Int.MaxValue,
-      s"${totalSlots / r} r-cliques × r = $r: $totalSlots slots exceed an Int array"
-    )
-    val flat = IntBuffer.concat(ordered)
     val total = flat.length
     val num = total / math.max(1, r)
     if (!sortNeeded) return (flat, num)
 
-    // r stable counting passes, alternating between `flat` and a scratch
-    // array; each pass counts per block of records, then scatters each block
-    // in order from its bucket-major, block-minor offset. The blocks' n-entry
-    // histograms together hold no more entries than there are records.
-    val blocks = math.min(Par.blocksFor(num, SortGrain), math.max(1, num / math.max(1, n)))
+    // r stable counting passes, alternating between `flat` and a scratch array
     var src = flat
     var dst = new Array[Int](total)
     var c = r - 1
     while (c >= 0) {
       val (from, to, col) = (src, dst, c)
-      val hist = Array.ofDim[Int](blocks, n)
-      Par.forEachBlock(num, blocks) { (b, lo, hi) =>
-        val h = hist(b)
-        var i = lo * r + col
-        while (i < hi * r) { h(from(i)) += 1; i += r }
-      }
       var next = 0
-      Par.toBlockOffsets(hist, n) { (_, count) => val at = next; next += count; at }
-      Par.forEachBlock(num, blocks) { (b, lo, hi) =>
-        val pos = hist(b)
+      Par.scatter(num, n) { (lo, hi, hist) =>
+        var i = lo * r + col
+        while (i < hi * r) { hist(from(i)) += 1; i += r }
+      } { (_, size) => val at = next; next += size; at } { (lo, hi, pos) =>
         var i = lo * r
         while (i < hi * r) {
           val v = from(i + col)

@@ -18,16 +18,14 @@ import repro.par.Par
   * one overflow entry, and a move that stays beyond the window adds none, so
   * no list ever holds an id twice.
   *
-  * Ids are inserted and moved in batches (Julienne's `updateBuckets`): each
-  * id's bucket is computed in a parallel loop, then the ids are placed by a
-  * stable parallel counting sort on their destination list (per-block
-  * histograms, a prefix sum, a scatter), so every list keeps the order a
-  * sequential loop would give it. Extraction packs the current list in
-  * parallel. Batches of at most [[Bucketing.Grain]] ids run on the calling
-  * thread.
+  * Ids are inserted and moved in batches (Julienne's `updateBuckets`): a
+  * stable parallel counting scatter ([[Par.scatter]]) computes each id's
+  * bucket in its count pass and places the ids on their destination lists,
+  * so every list keeps the order a sequential loop would give it. Extraction
+  * packs the current list in parallel. Batches of at most [[Par.BlockGrain]]
+  * ids run on the calling thread.
   */
 final class Bucketing(val capacity: Int, window: Int = 128) {
-  import Bucketing.Grain
 
   /** Current bucket per id; -1 = peeled or never inserted. */
   private val bucketOf = new Array[Long](capacity)
@@ -51,16 +49,11 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
     live += ids.length
   }
 
-  /** Moves `id` to bucket `max(value, current frontier)` if that is lower
-    * than its current bucket. Peeled ids are ignored (the UPDATE subroutine
-    * may report cliques that were extracted in this same round).
+  /** Moves each of the distinct `ids` to bucket `max(value(id), current
+    * frontier)` if that is lower than its current bucket. Peeled ids are
+    * ignored (the UPDATE subroutine may report cliques that were extracted
+    * in this same round).
     */
-  def update(id: Int, value: Long): Unit = {
-    val d = updateDest(id, value, frontier)
-    if (d >= 0) lists(d) += id
-  }
-
-  /** [[update]] for each of the distinct `ids`, to `value(id)`. */
   def updateAll(ids: Array[Int])(value: Int => Long): Unit = {
     val f = frontier
     place(ids, ids.length)(id => updateDest(id, value(id), f))
@@ -97,40 +90,26 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
 
   /** Appends each of `ids(0 until n)` to the list `dest(id)` returns
     * (-1 = none), calling `dest` once per id, keeping `ids`' order within
-    * each list. `dest` may run in parallel; the ids are distinct.
+    * each list ([[Par.scatter]]). `dest` may run in parallel; the ids are
+    * distinct.
     */
   private def place(ids: Array[Int], n: Int)(dest: Int => Int): Unit = {
-    val blocks = Par.blocksFor(n, Grain)
-    if (blocks == 1) {
-      var i = 0
-      while (i < n) {
+    val destOf = new Array[Int](n)
+    Par.scatter(n, window + 1) { (lo, hi, hist) =>
+      var i = lo
+      while (i < hi) {
         val d = dest(ids(i))
-        if (d >= 0) lists(d) += ids(i)
+        destOf(i) = d
+        if (d >= 0) hist(d) += 1
         i += 1
       }
-    } else {
-      val destOf = new Array[Int](n)
-      val hist = Array.ofDim[Int](blocks, window + 1)
-      Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
-        val h = hist(b)
-        var i = blo
-        while (i < bhi) {
-          val d = dest(ids(i))
-          destOf(i) = d
-          if (d >= 0) h(d) += 1
-          i += 1
-        }
-      }
-      Par.toBlockOffsets(hist, window + 1)((d, total) => lists(d).extend(total))
+    }((d, size) => lists(d).extend(size)) { (lo, hi, pos) =>
       val arrs = lists.map(_.unsafeArray)
-      Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
-        val pos = hist(b)
-        var i = blo
-        while (i < bhi) {
-          val d = destOf(i)
-          if (d >= 0) { arrs(d)(pos(d)) = ids(i); pos(d) += 1 }
-          i += 1
-        }
+      var i = lo
+      while (i < hi) {
+        val d = destOf(i)
+        if (d >= 0) { arrs(d)(pos(d)) = ids(i); pos(d) += 1 }
+        i += 1
       }
     }
   }
@@ -145,7 +124,7 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
         if (!l.isEmpty) {
           val value = lo + cursor
           val arr = l.unsafeArray
-          val out = IntBuffer.collectBlocks(l.size, Grain) { (blo, bhi, part) =>
+          val out = IntBuffer.collectBlocks(l.size) { (blo, bhi, part) =>
             var i = blo
             while (i < bhi) {
               val id = arr(i)
@@ -174,7 +153,7 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
     val old = lists(window)
     val arr = old.unsafeArray
     val n = old.size
-    val blocks = Par.blocksFor(n, Grain)
+    val blocks = Par.blocksFor(n)
     val mins = new Array[Long](blocks)
     Par.forEachBlock(n, blocks) { (b, blo, bhi) =>
       var m = Long.MaxValue
@@ -201,9 +180,4 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
       if (v < 0) -1 else listOf(v)
     }
   }
-}
-
-object Bucketing {
-  /** Batches and lists of at most this many ids are handled on the calling thread. */
-  final val Grain = 4096
 }

@@ -181,7 +181,7 @@ final class CliqueTable private (
     * of the slot space (not of groups, so a one-level table splits too).
     */
   def occupiedSlots: Array[Int] =
-    IntBuffer.collectBlocks(capacity, CliqueTable.OccupiedGrain) { (lo, hi, out) =>
+    IntBuffer.collectBlocks(capacity) { (lo, hi, out) =>
       var slot = lo
       if (contiguous) {
         // barrier cells carry the empty bit too
@@ -229,9 +229,6 @@ final class CliqueTable private (
 }
 
 object CliqueTable {
-
-  /** [[CliqueTable.occupiedSlots]] scans at least this many slots per block. */
-  final val OccupiedGrain = 1 << 15
 
   /** True iff `scheme` can represent r-cliques over n vertices with 64-bit
     * last-level keys (the analogue of the paper's "one-level T is

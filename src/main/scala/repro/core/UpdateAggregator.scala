@@ -187,11 +187,11 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
   }
 
   /** Scans the probe region in parallel blocks of at least
-    * [[HashTableAggregator.DrainBlock]] cells; the slots come out in cell
-    * order, as a sequential scan would give them.
+    * [[Par.BlockGrain]] cells; the slots come out in cell order, as a
+    * sequential scan would give them.
     */
   def drain(): Array[Int] =
-    IntBuffer.collectBlocks(mask + 1, HashTableAggregator.DrainBlock) { (lo, hi, part) =>
+    IntBuffer.collectBlocks(mask + 1) { (lo, hi, part) =>
       var i = lo
       while (i < hi) {
         val v = table.get(i)
@@ -206,6 +206,4 @@ object HashTableAggregator {
     * [[Util.nextPow2]] stops at 2^30.
     */
   val MaxCapacity: Int = 1 << 29
-  /** Probe-region cells one drain task scans. */
-  val DrainBlock: Int = 1 << 13
 }

@@ -42,27 +42,24 @@ final class IntBuffer(initialCapacity: Int = 16) {
 
 object IntBuffer {
 
-  /** The buffers' contents, concatenated in order, copied in parallel. */
-  def concat(parts: Array[IntBuffer]): Array[Int] = {
-    val starts = new Array[Int](parts.length + 1)
-    var i = 0
-    while (i < parts.length) { starts(i + 1) = starts(i) + parts(i).size; i += 1 }
-    val out = new Array[Int](starts(parts.length))
-    Par.forRange(0, parts.length, grain = 1) { i =>
-      System.arraycopy(parts(i).arr, 0, out, starts(i), parts(i).size)
-    }
-    out
-  }
-
   /** Runs `fill(lo, hi, out)` on the blocks of [0, n) (see
-    * [[Par.blocksFor]]) in parallel, each block into its own buffer, and
-    * returns the buffers concatenated in block order.
+    * [[Par.blocksFor]]) in parallel, block b into the b-th buffer, and
+    * returns the buffers concatenated in block order, copied in parallel.
+    * Throws if they hold more than an `Int` array can.
     */
-  def collectBlocks(n: Int, grain: Int)(fill: (Int, Int, IntBuffer) => Unit): Array[Int] = {
+  def collectBlocks(n: Int, grain: Int = Par.BlockGrain)(fill: (Int, Int, IntBuffer) => Unit): Array[Int] = {
     val blocks = Par.blocksFor(n, grain)
     val parts = Array.fill(blocks)(new IntBuffer())
     Par.forEachBlock(n, blocks)((b, lo, hi) => fill(lo, hi, parts(b)))
-    concat(parts)
+    val starts = new Array[Long](blocks + 1)
+    var b = 0
+    while (b < blocks) { starts(b + 1) = starts(b) + parts(b).size; b += 1 }
+    require(starts(blocks) <= Int.MaxValue, s"${starts(blocks)} values in $blocks blocks exceed an Int array")
+    val out = new Array[Int](starts(blocks).toInt)
+    Par.forRange(0, blocks, grain = 1) { i =>
+      System.arraycopy(parts(i).arr, 0, out, starts(i).toInt, parts(i).size)
+    }
+    out
   }
 }
 

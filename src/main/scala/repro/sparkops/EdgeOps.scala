@@ -23,25 +23,6 @@ object EdgeOps {
       .where(col("src") =!= col("dst"))
       .distinct()
 
-  /** Per-vertex degrees of a canonical edge list (columns v, degree). */
-  def degrees(canonical: DataFrame): DataFrame =
-    canonical
-      .select(col("src").as("v"))
-      .unionByName(canonical.select(col("dst").as("v")))
-      .groupBy("v")
-      .agg(count(lit(1)).as("degree"))
-
-  /** Summary used by the Fig. 7 table: n (max id + 1) and m. */
-  def sizeStats(canonical: DataFrame): (Long, Long) = {
-    val row = canonical
-      .agg(
-        greatest(max(col("src")), max(col("dst"))).as("maxid"),
-        count(lit(1)).as("m")
-      )
-      .collect()(0)
-    if (row.isNullAt(0)) (0L, 0L) else (row.getLong(0) + 1, row.getLong(1))
-  }
-
   /** Collects an edge DataFrame (columns src, dst; canonical or not) into
     * an in-memory CSR graph for the shared-memory core, with `n` = 1 + the
     * largest vertex id. Spark orients each edge as (least, greatest), drops

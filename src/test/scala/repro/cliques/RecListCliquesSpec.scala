@@ -285,7 +285,7 @@ class RecListCliquesSpec extends SparkSpec {
     Par.withThreads(4) {
       for (r <- 2 to 3) {
         val expected = mergeListing(dg, r)
-        assert(expected.length / r > ArbNucleusDecomp.SortGrain, s"r=$r: below the grain")
+        assert(expected.length / r > Par.BlockGrain, s"r=$r: below the grain")
         val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, r, sortNeeded = true, g.n)
         assert(num * r === expected.length, s"r=$r")
         assert(java.util.Arrays.equals(flat, expected), s"r=$r")

@@ -128,7 +128,7 @@ class ArbNucleusSpec extends SparkSpec {
     val g = TestGraphs.paperFigure1
     val res = ArbNucleusDecomp.decompose(g, 3, 4)
     assert(res.maxCore === 2L)
-    assert(res.coreHistogram === Map(0L -> 1L, 1L -> 3L, 2L -> 10L))
+    assert(CoreHistogram.of(res) === Map(0L -> 1L, 1L -> 3L, 2L -> 10L))
   }
 
   test("graphs with no r-cliques terminate immediately") {
@@ -208,9 +208,9 @@ class ArbNucleusSpec extends SparkSpec {
     assert(par.stats.rounds === seq.stats.rounds)
   }
 
-  // Above every grain of the parallel passes: more than Bucketing.Grain
+  // Above every grain of the parallel passes: more than Par.BlockGrain
   // slots peeled in round 1 (all core-0 slots) and, at (2,3), more than
-  // SortGrain r-cliques for the unrelabeled listing to sort.
+  // Par.BlockGrain r-cliques for the unrelabeled listing to sort.
   for ((r, s, g) <- Seq(
          (2, 3, TestGraphs.randomWithCliques(3000, 0.02, Seq(30, 20), 61)),
          (3, 4, TestGraphs.randomWithCliques(1000, 0.08, Seq(20, 15), 67))
@@ -219,10 +219,10 @@ class ArbNucleusSpec extends SparkSpec {
       val cfg = NucleusConfig.optimal(r, s, g.n)
       val one = repro.par.Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s, cfg))
       val four = repro.par.Par.withThreads(4)(ArbNucleusDecomp.decompose(g, r, s, cfg))
-      assert(one.core.count(_ == 0L) > Bucketing.Grain, "round 1 peels too few slots")
+      assert(one.core.count(_ == 0L) > repro.par.Par.BlockGrain, "round 1 peels too few slots")
       if (r == 2) {
         assert(!cfg.relabel && cfg.contraction && cfg.aggregation == UpdateAggregator.HashTableKind)
-        assert(one.stats.numRCliques > ArbNucleusDecomp.SortGrain, "too few r-cliques to sort in parallel")
+        assert(one.stats.numRCliques > repro.par.Par.BlockGrain, "too few r-cliques to sort in parallel")
         assert(one.stats.contractions > 0)
       }
       assert(java.util.Arrays.equals(one.core, four.core))

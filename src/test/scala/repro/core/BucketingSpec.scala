@@ -30,12 +30,12 @@ class BucketingSpec extends SparkSpec {
     val b = new Bucketing(10)
     for (i <- 0 until 10) b.insert(i, 5L)
     // extract nothing yet; update id 0 down to 2
-    b.update(0, 2L)
+    b.updateAll(Array(0))(_ => 2L)
     val (v1, ids1) = b.nextBucket()
     assert(v1 === 2L)
     assert(ids1.toSeq === Seq(0))
     // now frontier is 2: an update to 0 clamps to 2
-    b.update(1, 0L)
+    b.updateAll(Array(1))(_ => 0L)
     val (v2, ids2) = b.nextBucket()
     assert(v2 === 2L)
     assert(ids2.toSeq === Seq(1))
@@ -49,7 +49,7 @@ class BucketingSpec extends SparkSpec {
     b.insert(0, 1L); b.insert(1, 2L); b.insert(2, 3L)
     val (_, ids) = b.nextBucket()
     assert(ids.toSeq === Seq(0))
-    b.update(0, 0L) // peeled; no effect
+    b.updateAll(Array(0))(_ => 0L) // peeled; no effect
     val (v, ids2) = b.nextBucket()
     assert(v === 2L && ids2.toSeq === Seq(1))
   }
@@ -72,9 +72,9 @@ class BucketingSpec extends SparkSpec {
     val b = new Bucketing(2, window = 4)
     b.insert(0, 100L)
     b.insert(1, 0L)
-    b.update(0, 50L)
-    b.update(0, 20L)
-    b.update(0, 20L) // no-op duplicate
+    b.updateAll(Array(0))(_ => 50L)
+    b.updateAll(Array(0))(_ => 20L)
+    b.updateAll(Array(0))(_ => 20L) // no-op duplicate
     assert(b.nextBucket()._1 === 0L)
     val (v, ids) = b.nextBucket()
     assert(v === 20L && ids.toSeq === Seq(0))
@@ -102,7 +102,7 @@ class BucketingSpec extends SparkSpec {
       // random decrements of some survivors
       for (i <- 0 until n if alive(i) && rnd.nextBoolean()) {
         value(i) = math.max(frontier, value(i) - rnd.nextInt(3))
-        b.update(i, value(i))
+        b.updateAll(Array(i))(_ => value(i))
       }
     }
     assert(b.nextBucket() === null)
@@ -120,7 +120,7 @@ class BucketingSpec extends SparkSpec {
   /** Peels `n` ids with random initial buckets under `threads` workers,
     * moving a random half of the survivors after every extraction: some
     * down within the window, some within the overflow, some up (no-ops),
-    * with batches above [[Bucketing.Grain]]. Checks every extraction
+    * with batches above [[Par.BlockGrain]]. Checks every extraction
     * against a naive priority structure and returns the extracted ids in
     * order.
     */
@@ -163,16 +163,16 @@ class BucketingSpec extends SparkSpec {
     }
 
   test("batched insert and update match a naive priority structure under 4 threads, above the grain") {
-    val n = 6 * Bucketing.Grain
+    val n = 6 * Par.BlockGrain
     val got = peelAgainstNaive(4, n, window = 16, seed = 11)
     val all = got.flatMap(_._2)
     assert(all.length === n)
     assert(all.distinct.length === n, "an id was extracted twice")
-    assert(got.exists(_._2.length > Bucketing.Grain), "no extraction above the grain")
+    assert(got.exists(_._2.length > Par.BlockGrain), "no extraction above the grain")
   }
 
   test("batched placement keeps each list's sequential order: 4 threads extract what 1 thread does") {
-    val n = 5 * Bucketing.Grain
+    val n = 5 * Par.BlockGrain
     assert(peelAgainstNaive(4, n, window = 8, seed = 5) === peelAgainstNaive(1, n, window = 8, seed = 5))
   }
 }

@@ -75,7 +75,7 @@ class CliqueTableSpec extends SparkSpec {
     test(s"occupiedSlots under 4 threads are the cliques' slots, ascending: ${scheme.label} contig=$contig ${inv.label}") {
       val (n, flat, num) = occupancyInput
       val table = CliqueTable.build(flat, num, 3, n, scheme, contig, inv)
-      assert(table.capacity > 4 * CliqueTable.OccupiedGrain, "the slot space must span several blocks")
+      assert(table.capacity > 4 * Par.BlockGrain, "the slot space must span several blocks")
       val expected = Array.tabulate(num)(i => table.slotOf(flat, 3 * i)).sorted
       assert(expected.forall(_ >= 0))
       val got = Par.withThreads(4)(table.occupiedSlots)

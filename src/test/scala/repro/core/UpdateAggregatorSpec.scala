@@ -74,14 +74,14 @@ class UpdateAggregatorSpec extends SparkSpec {
       val agg = new HashTableAggregator(100000)
       // a probe region of 2^17 cells, sixteen drain blocks
       agg.beginRound(50000)
-      assert(2 * 50000 > HashTableAggregator.DrainBlock, "the region must span several blocks")
+      assert(2 * 50000 > Par.BlockGrain, "the region must span several blocks")
       Par.forRange(0, 120000)(i => agg.offer((i * 7) % 40000))
       val big = agg.drain()
       assert(big.length === 40000)
       assert(big.sorted.toSeq === (0 until 40000))
       // a smaller region that still spans several blocks, over cells the
       // larger round left stamped with its own round
-      agg.beginRound(2 * HashTableAggregator.DrainBlock)
+      agg.beginRound(2 * Par.BlockGrain)
       Par.forRange(0, 9000)(i => agg.offer(50000 + i % 3000))
       val small = agg.drain()
       assert(small.sorted.toSeq === (50000 until 53000))

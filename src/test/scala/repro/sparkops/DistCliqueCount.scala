@@ -5,13 +5,10 @@ import org.apache.spark.sql.functions._
 import repro.cliques.RecListCliques
 import repro.graph.{CSRGraph, Orientation}
 
-/** Spark fan-out clique counting: the oriented graph is broadcast and root
-  * vertices are partitioned across tasks, each of which runs the sequential
-  * REC-LIST-CLIQUES kernel over its roots (DESIGN.md "Reproduction
-  * strategy" — per-partition listing, Spark only for outer orchestration).
-  *
-  * Serves two purposes: a scale-out path for the clique-counting phase, and
-  * an independent cross-check of the shared-memory counts in tests.
+/** Spark fan-out clique counting, a test oracle for the shared-memory
+  * counts: the oriented graph is broadcast and root vertices are partitioned
+  * across tasks, each of which runs the sequential REC-LIST-CLIQUES kernel
+  * over its roots.
   */
 object DistCliqueCount {
 

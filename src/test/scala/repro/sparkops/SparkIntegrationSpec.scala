@@ -71,7 +71,7 @@ class SparkIntegrationSpec extends SparkSpec {
 
   test("degrees matches DuckDB (oracle)") {
     val canonical = EdgeOps.canonicalize(edgesDf(Seq((0, 1), (1, 2), (2, 0), (2, 3))))
-    val got = EdgeOps.degrees(canonical)
+    val got = EdgeStats.degrees(canonical)
     Oracle.assertEquivalent(
       got,
       """SELECT v, count(*) AS degree FROM (
@@ -123,7 +123,7 @@ class SparkIntegrationSpec extends SparkSpec {
 
   test("sizeStats reports n and m") {
     val canonical = EdgeOps.canonicalize(edgesDf(Seq((0, 1), (1, 5))))
-    assert(EdgeOps.sizeStats(canonical) === ((6L, 2L)))
+    assert(EdgeStats.sizeStats(canonical) === ((6L, 2L)))
   }
 
   // --- distributed counting ---------------------------------------------------
