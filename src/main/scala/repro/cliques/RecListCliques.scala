@@ -1,5 +1,6 @@
 package repro.cliques
 
+import java.util.concurrent.atomic.AtomicIntegerArray
 import repro.graph.{Adjacency, DirectedGraph}
 import repro.par.Par
 
@@ -38,6 +39,61 @@ object RecListCliques {
     val acc = new java.util.concurrent.atomic.LongAdder
     forRootBlocks(dg) { roots => acc.add(countFromRoots(dg, k, roots)) }
     acc.sum()
+  }
+
+  /** The number of triangles through each edge of the oriented graph `dg`,
+    * by its position in `dg.adj`: the (2,3) count phase, without listing
+    * the triangles' edges one by one.
+    *
+    * Root v stamps its out-neighbours with `base + i`, i their index in
+    * out(v), so one stamp read gives both membership and position. Each
+    * triangle (v, u, w), u and w in out(v), w in out(u), adds 1 to v's local
+    * counts at u's and w's indices and 1 to w's position in out(u) with one
+    * atomic increment; v then adds its local counts to its own positions.
+    */
+  def trianglesPerEdge(dg: DirectedGraph): AtomicIntegerArray = {
+    val off = dg.offsets
+    val adj = dg.adj
+    val counts = new AtomicIntegerArray(adj.length)
+    val maxOut = math.max(1, dg.maxOutDegree)
+    forRootBlocks(dg) { roots =>
+      val local = new Array[Int](maxOut)
+      val marks = Marks.acquire(dg.n)
+      val stamp = marks.stamp
+      try {
+        while (roots.hasNext) {
+          val v = roots.next()
+          val lo = off(v)
+          val d = off(v + 1) - lo
+          if (d >= 2) {
+            val base = marks.fresh(d)
+            var i = 0
+            while (i < d) { stamp(adj(lo + i)) = base + i; i += 1 }
+            i = 0
+            while (i < d) {
+              val u = adj(lo + i)
+              var found = 0
+              var q = off(u)
+              val qHi = off(u + 1)
+              while (q < qHi) {
+                // every stamp at or above base was written by this root
+                val at = stamp(adj(q)) - base
+                if (at >= 0) { local(at) += 1; found += 1; counts.incrementAndGet(q) }
+                q += 1
+              }
+              local(i) += found
+              i += 1
+            }
+            i = 0
+            while (i < d) {
+              if (local(i) != 0) { counts.addAndGet(lo + i, local(i)); local(i) = 0 }
+              i += 1
+            }
+          }
+        }
+      } finally Marks.release(marks)
+    }
+    counts
   }
 
   /** Roots per block, at least, of the parallel listings. */
@@ -338,6 +394,38 @@ object Intersect {
       }
       k
     } finally Marks.release(marks)
+  }
+
+  /** UPDATE's kernel at r = 2 for one block of peeled edges, taken grouped
+    * by first endpoint (ascending slots of a two-level T): the common
+    * neighbours of an edge (u, v). u's list is stamped only when u differs
+    * from the last edge's, and v's entries carrying the stamp are kept, or
+    * u's list gallops through v's when v's is more than [[GallopRatio]]
+    * times longer. Each call gives the same list as [[commonNeighbors]].
+    * The stamp array is held from construction to [[release]], so lists of
+    * `g` must not change in between.
+    */
+  final class SharedEndpoint(g: Adjacency) {
+    private val marks = Marks.acquire(g.n)
+    private var stamped = -1
+    private var tag = 0
+
+    def commonNeighbors(u: Int, v: Int, out: Array[Int]): Int = {
+      val adj = g.adj
+      val off = g.offsets
+      val du = g.degree(u)
+      val dv = g.degree(v)
+      if (u != stamped) {
+        tag = marks.fresh(1)
+        RecListCliques.stampAll(marks.stamp, adj, off(u), du, tag)
+        stamped = u
+      }
+      if (dv > du.toLong * GallopRatio) intersect(adj, off(u), du, adj, off(v), dv, out)
+      else RecListCliques.keepStamped(marks.stamp, tag, adj, off(v), dv, out)
+    }
+
+    /** Returns the stamp array to this thread's free list. */
+    def release(): Unit = Marks.release(marks)
   }
 
   /** One intersection step of [[commonNeighbors]], with `aLen <= bLen`:

@@ -98,14 +98,19 @@ object ArbNucleusDecomp {
 
     // --- build T (§5.1–5.3) -------------------------------------------------
     t0 = System.nanoTime()
-    val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse)
+    val contract = cfg.contraction && r == 2
+    // contraction reads each edge's slot by its CSR position
+    val edgeSlots = if (contract) new Array[Int](numR) else null
+    val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse, edgeSlots)
     val tBuild = msSince(t0)
 
     // --- count s-cliques per r-clique ---------------------------------------
     t0 = System.nanoTime()
-    foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
-      table.addCount(table.slotOf(sub), 1L)
-    }
+    if (r == 2 && s == 3) addTriangleCounts(dg, table)
+    else
+      foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
+        table.addCount(table.slotOf(sub), 1L)
+      }
     val occupied = table.occupiedSlots
     val sumCounts0 = new LongAdder
     Par.forBlocked(0, occupied.length) { (lo, hi) =>
@@ -134,7 +139,7 @@ object ArbNucleusDecomp {
 
     val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
     val peelable: PeelableGraph =
-      if (cfg.contraction && r == 2) new PeelableGraph(workGraph) else null
+      if (contract) new PeelableGraph(workGraph, cliquesFlat, edgeSlots, peeledRound) else null
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
 
     val maxDeg = math.max(1, workGraph.maxDegree)
@@ -165,50 +170,59 @@ object ArbNucleusDecomp {
       finished += ids.length
       if (finished < numR) {
         agg.beginRound(expected.sum() * math.max(1, numSubsets - 1))
+        // at r = 2, ascending slots of a two-level T come grouped by first
+        // vertex, so a block stamps each shared endpoint's list once
+        if (r == 2) Par.sortInts(ids, 0, ids.length)
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
           val subsetSlots = sc.subsetIds
+          val shared = if (r == 2) new Intersect.SharedEndpoint(peelGraph) else null
           var localDisc = 0L
           var idx = blo
-          while (idx < bhi) {
-            val slot = ids(idx)
-            // count(slot) is the number of s-cliques through slot with no
-            // r-subset peeled in an earlier round, and slots peeled this
-            // round are never decremented in it. So at 0 every incident
-            // s-clique would abort: skip UPDATE.
-            if (table.count(slot) != 0L) {
-              table.cliqueOf(slot, sc.vsR)
-              localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
-                // classify the C(s,r) subsets of this s-clique
-                var abort = false
-                var minA = Int.MaxValue
-                var j = 0
-                while (!abort && j < numSubsets) {
-                  val sl = table.slotOf(sc.subsets(sBuf, j))
-                  subsetSlots(j) = sl
-                  val pr = peeledRound(sl)
-                  if (pr < thisRound) abort = true // s-clique destroyed earlier
-                  else if (pr == thisRound && sl < minA) minA = sl
-                  j += 1
-                }
-                // the minimum peeled subset is the round's sole representative
-                // for this s-clique (substitute for the paper's 1/a fractions)
-                if (!abort && minA == slot) {
-                  j = 0
-                  while (j < numSubsets) {
-                    val sl = subsetSlots(j)
-                    if (peeledRound(sl) > thisRound) {
-                      table.addCount(sl, -1L)
-                      agg.offer(sl)
-                    }
+          try {
+            while (idx < bhi) {
+              val slot = ids(idx)
+              // count(slot) is the number of s-cliques through slot with no
+              // r-subset peeled in an earlier round, and slots peeled this
+              // round are never decremented in it. So at 0 every incident
+              // s-clique would abort: skip UPDATE.
+              if (table.count(slot) != 0L) {
+                table.cliqueOf(slot, sc.vsR)
+                val iLen =
+                  if (shared != null) shared.commonNeighbors(sc.vsR(0), sc.vsR(1), sc.iBuf)
+                  else Intersect.commonNeighbors(peelGraph, sc.vsR, r, sc.iBuf)
+                localDisc += completeIncident(dg, sc, iLen) { sBuf =>
+                  // classify the C(s,r) subsets of this s-clique
+                  var abort = false
+                  var minA = Int.MaxValue
+                  var j = 0
+                  while (!abort && j < numSubsets) {
+                    val sl = table.slotOf(sc.subsets(sBuf, j))
+                    subsetSlots(j) = sl
+                    val pr = peeledRound(sl)
+                    if (pr < thisRound) abort = true // s-clique destroyed earlier
+                    else if (pr == thisRound && sl < minA) minA = sl
                     j += 1
+                  }
+                  // the minimum peeled subset is the round's sole representative
+                  // for this s-clique (substitute for the paper's 1/a fractions)
+                  if (!abort && minA == slot) {
+                    j = 0
+                    while (j < numSubsets) {
+                      val sl = subsetSlots(j)
+                      if (peeledRound(sl) > thisRound) {
+                        table.addCount(sl, -1L)
+                        agg.offer(sl)
+                      }
+                      j += 1
+                    }
                   }
                 }
               }
+              idx += 1
             }
-            idx += 1
-          }
+          } finally if (shared != null) shared.release()
           discoveries.add(localDisc)
         }
 
@@ -270,6 +284,34 @@ object ArbNucleusDecomp {
       }
     }
 
+  /** The (2,3) count phase: adds each edge's triangle count, from
+    * [[RecListCliques.trianglesPerEdge]], to its slot, with one `slotOf`
+    * per DAG edge whose count is not 0. The counts equal those of adding 1
+    * per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+    */
+  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable): Unit = {
+    val counts = RecListCliques.trianglesPerEdge(dg)
+    val off = dg.offsets
+    Par.forBlocked(0, dg.n) { (lo, hi) =>
+      val pair = new Array[Int](2)
+      var v = lo
+      while (v < hi) {
+        var p = off(v)
+        while (p < off(v + 1)) {
+          val c = counts.get(p)
+          if (c != 0) {
+            val w = dg.adj(p)
+            pair(0) = math.min(v, w)
+            pair(1) = math.max(v, w)
+            table.addCount(table.slotOf(pair), c.toLong)
+          }
+          p += 1
+        }
+        v += 1
+      }
+    }
+  }
+
   /** Per-thread buffers of UPDATE's front end ([[foreachIncidentSclique]]). */
   final class UpdateScratch(val r: Int, val s: Int, maxDeg: Int) {
     /** The r-clique to expand; the caller writes it, sorted ascending. */
@@ -289,10 +331,15 @@ object ArbNucleusDecomp {
     * each s-clique, vertices sorted ascending, in a reused buffer. Returns
     * the number of s-cliques found (the "s-clique discoveries" work metric).
     */
-  def foreachIncidentSclique(g: Adjacency, dg: DirectedGraph, sc: UpdateScratch)(f: Array[Int] => Unit): Long = {
+  def foreachIncidentSclique(g: Adjacency, dg: DirectedGraph, sc: UpdateScratch)(f: Array[Int] => Unit): Long =
+    completeIncident(dg, sc, Intersect.commonNeighbors(g, sc.vsR, sc.r, sc.iBuf))(f)
+
+  /** [[foreachIncidentSclique]] once the common neighbours of `sc.vsR` are
+    * in `sc.iBuf(0 until iLen)`.
+    */
+  private def completeIncident(dg: DirectedGraph, sc: UpdateScratch, iLen: Int)(f: Array[Int] => Unit): Long = {
     val r = sc.r
     val s = sc.s
-    val iLen = Intersect.commonNeighbors(g, sc.vsR, r, sc.iBuf)
     if (iLen < s - r) return 0L
     System.arraycopy(sc.vsR, 0, sc.cliqueBuf, 0, r)
     var found = 0L

@@ -267,7 +267,8 @@ object CliqueTable {
 
   /** Builds T from the lexicographically sorted, duplicate-free flattened
     * r-clique list `cliques` (length `num * r`, vertices of each clique
-    * sorted ascending).
+    * sorted ascending). If `slots` is given, `slots(c)` receives the slot of
+    * clique `c`, as its insert finds it, with no [[CliqueTable.slotOf]].
     */
   def build(
       cliques: Array[Int],
@@ -276,9 +277,11 @@ object CliqueTable {
       n: Int,
       scheme: TableScheme = TwoLevelArray,
       contiguous: Boolean = true,
-      inverse: InverseMapMethod = StoredPointers
+      inverse: InverseMapMethod = StoredPointers,
+      slots: Array[Int] = null
   ): CliqueTable = {
     require(r >= 1, "r must be >= 1")
+    require(slots == null || slots.length >= num, s"slots holds ${slots.length} entries for $num r-cliques")
     require(inverse != StoredPointers || contiguous,
       "stored pointers require contiguous storage (§5.3)")
     val effContig = scheme match {
@@ -413,6 +416,7 @@ object CliqueTable {
               while ((arr(i) & EmptyBit) == 0L) i = (i + 1) & mask
               arr(i) = key
             }
+            if (slots != null) slots(c) = base + i
             c += 1
           }
         }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLongArray}
 import repro.par.Par
 
 /** Collects U — the set of r-clique slots whose s-clique count changed in
@@ -148,10 +148,12 @@ object ListBufferAggregator {
   * sized per round from the peeled cliques' counts — insertion itself
   * dedupes (no shared slot counter to contend on). The paper's version
   * reserves less space in small rounds so there is less to clear; we get
-  * the same effect with zero clearing: one preallocated array of
-  * round-stamped entries ((round << 32) | slot), where a cell not stamped
-  * with the current round is empty by definition. `expectedUpdates` is a
-  * true upper bound on distinct offers, so the chosen probe region can
+  * the same effect with zero clearing: one array of round-stamped entries
+  * ((round << 32) | slot), where a cell not stamped with the current round
+  * is empty by definition. The array grows in [[beginRound]] when a round's
+  * region needs more cells than it has, up to 2 · capacity rounded up to a
+  * power of two; a new array is all round 0, so empty. `expectedUpdates` is
+  * a true upper bound on distinct offers, so the chosen probe region can
   * never overflow.
   */
 final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
@@ -160,7 +162,7 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
     s"hash-table aggregator supports at most 2^29 = ${HashTableAggregator.MaxCapacity} slots, got capacity $capacity"
   )
   private val maxCap = Util.nextPow2(math.max(64, 2 * capacity))
-  private val table = new java.util.concurrent.atomic.AtomicLongArray(maxCap)
+  private var table = new AtomicLongArray(64)
   private var mask = 63
   private var round = 0L
 
@@ -168,8 +170,12 @@ final class HashTableAggregator(capacity: Int) extends UpdateAggregator {
     round += 1
     val bound = math.min(expectedUpdates, capacity.toLong)
     val want = Util.nextPow2(math.max(64L, bound * 2L).min(maxCap.toLong).toInt)
+    if (want > table.length) table = new AtomicLongArray(want)
     mask = want - 1
   }
+
+  /** Cells of the probe array allocated so far. */
+  private[core] def cells: Int = table.length
 
   def offer(slot: Int): Unit = {
     val m = mask

@@ -19,7 +19,8 @@ import java.util.concurrent.atomic.AtomicReference
   *     contiguous blocks;
   *   - [[Par.scatter]]: a stable counting scatter (per-block histograms, a
   *     prefix, a scatter in block order);
-  *   - [[Par.sortLongs]]: the JDK's parallel sort, run in the pool.
+  *   - [[Par.sortLongs]] / [[Par.sortInts]]: the JDK's parallel sort, run
+  *     in the pool.
   */
 object Par {
 
@@ -154,11 +155,19 @@ object Par {
   /** Sorts `a(lo until hi)` in place with the JDK's parallel sort, run in
     * [[pool]] so that a [[withThreads]] scope bounds it like every loop.
     */
-  def sortLongs(a: Array[Long], lo: Int, hi: Int): Unit = {
+  def sortLongs(a: Array[Long], lo: Int, hi: Int): Unit =
+    inPool(java.util.Arrays.sort(a, lo, hi), java.util.Arrays.parallelSort(a, lo, hi))
+
+  /** [[sortLongs]] for an `Int` array. */
+  def sortInts(a: Array[Int], lo: Int, hi: Int): Unit =
+    inPool(java.util.Arrays.sort(a, lo, hi), java.util.Arrays.parallelSort(a, lo, hi))
+
+  /** Runs `seq` on one thread, else `par` as a task of [[pool]], so that the
+    * JDK's parallel sorts fork into the pool rather than the common pool.
+    */
+  private def inPool(seq: => Unit, par: => Unit): Unit = {
     val p = pool
-    if (p.getParallelism <= 1) java.util.Arrays.sort(a, lo, hi)
-    else p.invoke(new RecursiveAction {
-      override def compute(): Unit = java.util.Arrays.parallelSort(a, lo, hi)
-    })
+    if (p.getParallelism <= 1) seq
+    else p.invoke(new RecursiveAction { override def compute(): Unit = par })
   }
 }

@@ -3,12 +3,12 @@ package repro.cliques
 import java.util.concurrent.atomic.AtomicLong
 import repro.SparkSpec
 import repro.baselines.RefNucleus
-import repro.core.ArbNucleusDecomp
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph}
+import repro.core.{ArbNucleusDecomp, CliqueTable}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation}
 import repro.par.Par
 import repro.sparkgen.GraphGen
 import repro.sparkops.EdgeOps
-import repro.testutil.TestGraphs
+import repro.testutil.{PeelFixture, TestGraphs}
 
 /** REC-LIST-CLIQUES (Algorithm 1) against brute-force enumeration. */
 class RecListCliquesSpec extends SparkSpec {
@@ -160,15 +160,77 @@ class RecListCliquesSpec extends SparkSpec {
 
   test("commonNeighbors matches brute force on a contracted PeelableGraph, both branches") {
     val g = twoHubGraph(300, 23)
-    val pg = new PeelableGraph(g)
+    val fx = new PeelFixture(g)
+    val pg = fx.pg
     // peel every third edge: >= 2n peeled edges, so a contraction runs
     val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
-    val peeled = edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }.toSet
-    val flat = peeled.toArray.flatMap { case (u, v) => Array(u, v) }
-    assert(pg.notePeeled(flat, peeled.size))
+    val peeled = edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }
+    assert(fx.peel(peeled))
     assert((0 until g.n).exists(v => pg.degree(v) < g.degree(v)))
     val (marks, gallops) = checkAgainstBruteForce(pg, queries(pg, 600, 5))
     assert(marks > 0 && gallops > 0, s"marks=$marks gallops=$gallops")
+  }
+
+  /** twoHubGraph with ids reversed, so the hubs are the two highest ids and
+    * an edge (u, v), u < v, often has the much longer list at v.
+    */
+  private def highHubGraph(n: Int, seed: Long): CSRGraph =
+    twoHubGraph(n, seed).relabel(Array.tabulate(n)(v => n - 1 - v))
+
+  for (contracted <- Seq(false, true); grouped <- Seq(true, false)) {
+    val graph = if (contracted) "a contracted PeelableGraph" else "a CSRGraph"
+    val order = if (grouped) "grouped by first endpoint" else "in random order"
+    test(s"SharedEndpoint gives commonNeighbors' list for every edge, both branches: $graph, edges $order") {
+      val g = highHubGraph(300, 37)
+      val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
+      val adjacency: Adjacency =
+        if (!contracted) g
+        else {
+          val fx = new PeelFixture(g)
+          assert(fx.peel(edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }))
+          fx.pg
+        }
+      val queries = if (grouped) edges else new scala.util.Random(5).shuffle(edges)
+      val shared = new Intersect.SharedEndpoint(adjacency)
+      val (out, expected) = (new Array[Int](g.n), new Array[Int](g.n))
+      var gallops = 0
+      try for ((u, v) <- queries) {
+        val k = shared.commonNeighbors(u, v, out)
+        val e = Intersect.commonNeighbors(adjacency, Array(u, v), 2, expected)
+        assert(out.take(k).toSeq === expected.take(e).toSeq, s"edge ($u, $v)")
+        if (adjacency.degree(v) > 16L * adjacency.degree(u)) gallops += 1
+      } finally shared.release()
+      assert(gallops > 0 && gallops < queries.size, s"gallops=$gallops of ${queries.size}")
+    }
+  }
+
+  for (relabel <- Seq(false, true); threads <- Seq(1, 4)) {
+    test(s"(2,3) per-DAG-edge triangle counts equal the per-subset count phase, slot for slot: relabel=$relabel, $threads thread(s)") {
+      // two hubs, a random core, and pendant edges in no triangle; more
+      // than 4 root blocks of RecListCliques.RootGrain vertices
+      val core = highHubGraph(300, 43)
+      val pendants = (0 until 40).map(i => (i, 300 + i))
+      val edges = (for (u <- 0 until 300; v <- core.neighbors(u) if u < v) yield (u, v)) ++ pendants
+      val base = CSRGraph.fromEdges(edges, 340)
+      assert(base.n > 4 * RecListCliques.RootGrain)
+      val (g, dg) = if (relabel) { val (w, d, _) = Orientation.relabelByRank(base); (w, d) } else (base, Orientation.orient(base))
+      val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, 2, sortNeeded = !relabel, g.n)
+      val perEdge = CliqueTable.build(flat, num, 2, g.n)
+      val perSubset = CliqueTable.build(flat, num, 2, g.n)
+      Par.withThreads(threads) {
+        ArbNucleusDecomp.addTriangleCounts(dg, perEdge)
+        ArbNucleusDecomp.foreachRSubsetOfScliques(dg, 2, 3, sortNeeded = !relabel) { sub =>
+          perSubset.addCount(perSubset.slotOf(sub), 1L)
+        }
+      }
+      val slots = perEdge.occupiedSlots
+      assert(slots.length === num)
+      for (slot <- slots) assert(perEdge.count(slot) === perSubset.count(slot), s"slot $slot")
+      val counts = slots.map(perEdge.count)
+      assert(counts.count(_ == 0L) >= pendants.size, "zero-count edges")
+      assert(counts.max >= 100L, "a hub edge")
+      assert(counts.sum === 3 * RecListCliques.countCliques(dg, 3))
+    }
   }
 
   /** A graph, `len` query members and a list of edges to peel. The
@@ -207,9 +269,9 @@ class RecListCliquesSpec extends SparkSpec {
       val adjacency: Adjacency =
         if (!contracted) g
         else {
-          val pg = new PeelableGraph(g)
-          assert(pg.notePeeled(peel.flatMap { case (u, v) => Seq(u, v) }.toArray, peel.size))
-          pg
+          val fx = new PeelFixture(g)
+          assert(fx.peel(peel))
+          fx.pg
         }
       val out = new Array[Int](g.n)
       for (vs <- members.permutations) {

@@ -62,6 +62,25 @@ class UpdateAggregatorSpec extends SparkSpec {
     assert(agg.drain().length === 10)
   }
 
+  test("hash-table: the probe array grows only when a round's region needs more cells") {
+    val agg = new HashTableAggregator(1 << 22)
+    assert(agg.cells === 64, "nothing sized from the capacity up front")
+    agg.beginRound(1000)
+    assert(agg.cells === 2048)
+    Par.forRange(0, 3000)(i => agg.offer(i % 1000))
+    assert(agg.drain().sorted.toSeq === (0 until 1000))
+    // a smaller round reuses the array; the larger round's cells are stale
+    agg.beginRound(10)
+    assert(agg.cells === 2048)
+    agg.offer(5); agg.offer(5); agg.offer(999)
+    assert(agg.drain().sorted.toSeq === Seq(5, 999))
+    // a round bounded by the capacity grows it to 2 · capacity cells
+    agg.beginRound(Long.MaxValue)
+    assert(agg.cells === (1 << 23))
+    agg.offer(7)
+    assert(agg.drain().toSeq === Seq(7))
+  }
+
   test("hash-table: a capacity above 2^29 is rejected with the limit named") {
     val limit = HashTableAggregator.MaxCapacity
     val e = intercept[IllegalArgumentException](new HashTableAggregator(limit + 1))

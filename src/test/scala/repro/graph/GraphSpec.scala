@@ -2,7 +2,7 @@ package repro.graph
 
 import repro.SparkSpec
 import repro.cliques.{Marks, RecListCliques}
-import repro.testutil.TestGraphs
+import repro.testutil.{PeelFixture, TestGraphs}
 
 /** CSRGraph, orientations, relabeling, and the contractible graph. */
 class GraphSpec extends SparkSpec {
@@ -209,7 +209,7 @@ class GraphSpec extends SparkSpec {
 
   test("PeelableGraph mirrors the base graph until contraction") {
     val g = TestGraphs.paperFigure1
-    val pg = new PeelableGraph(g)
+    val pg = new PeelFixture(g).pg
     for (v <- 0 until g.n) {
       assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq)
       assert(TestGraphs.liveNeighbors(g, v) === g.neighbors(v).toSeq)
@@ -219,17 +219,19 @@ class GraphSpec extends SparkSpec {
   test("PeelableGraph contracts only after the 2n threshold and filters peeled edges") {
     // n=12, m=66; threshold = 24 peeled edges since the last contraction
     val g = CSRGraph.complete(12)
-    val pg = new PeelableGraph(g)
+    val fx = new PeelFixture(g)
+    val pg = fx.pg
     val peeled = scala.collection.mutable.Set[(Int, Int)]()
     def isPeeled(a: Int, b: Int): Boolean = peeled.contains((math.min(a, b), math.max(a, b)))
     def peelBatch(pairs: Seq[(Int, Int)]): Boolean = {
       pairs.foreach { case (u, v) => peeled += ((math.min(u, v), math.max(u, v))) }
-      val flat = pairs.flatMap { case (u, v) => Seq(u, v) }.toArray
-      pg.notePeeled(flat, pairs.length)
+      fx.peel(pairs)
     }
-    def assertExactlyUnpeeled(): Unit =
+    def assertExactlyUnpeeled(): Unit = {
       for (v <- 0 until g.n)
         assert(TestGraphs.liveNeighbors(pg, v) === g.neighbors(v).toSeq.filterNot(isPeeled(v, _)), s"v=$v")
+      assert(fx.slotsMatch(), "a compacted entry lost its slot")
+    }
     val all = (for (u <- 0 until 12; v <- u + 1 until 12) yield (u, v)).toSeq
     assert(!peelBatch(all.take(10)))  // 10 < 24: no contraction
     assert(pg.contractions === 0)
@@ -249,12 +251,36 @@ class GraphSpec extends SparkSpec {
   }
 
   test("PeelableGraph rejects a peeled edge that is not live, naming it") {
-    val pg = new PeelableGraph(TestGraphs.path(4))
-    val absent = intercept[IllegalStateException](pg.notePeeled(Array(0, 2), 1))
-    assert(absent.getMessage.contains("peeled edge (0, 2) is not live at vertex 0"))
-    val fresh = new PeelableGraph(TestGraphs.path(4))
-    fresh.notePeeled(Array(1, 2), 1)
-    val twice = intercept[IllegalStateException](fresh.notePeeled(Array(2, 1), 1))
-    assert(twice.getMessage.contains("peeled edge (2, 1) is not live at vertex 2"))
+    // K5 minus (0, 1): n = 5, m = 9, threshold 10. Noting the 9 edges and
+    // the absent (0, 1) makes vertex 0 drop 3 entries with 4 noted lost.
+    val k5 = for (u <- 0 until 5; v <- u + 1 until 5) yield (u, v)
+    val absent = new PeelFixture(CSRGraph.fromEdges(k5.filterNot(_ == ((0, 1))), 5))
+    absent.peel(k5.filterNot(_ == ((0, 1))))
+    val e1 = intercept[IllegalStateException](absent.note(Seq((0, 1))))
+    assert(e1.getMessage.contains("vertex 0 dropped 3 peeled entries, but 4 of its edges were noted peeled"))
+    // K5: noting (1, 2) a second time makes vertex 1 drop 4 with 5 noted
+    val twice = new PeelFixture(CSRGraph.fromEdges(k5, 5))
+    twice.peel(k5.take(9))
+    val e2 = intercept[IllegalStateException](twice.peel(Seq(k5(9), (2, 1))))
+    assert(e2.getMessage.contains("vertex 1 dropped 4 peeled entries, but 5 of its edges were noted peeled"))
+  }
+
+  for (relabel <- Seq(false, true)) {
+    test(s"PeelableGraph's slot map is the table's slot at every CSR position, and after each contraction: relabel=$relabel") {
+      val base = TestGraphs.randomWithCliques(120, 0.08, Seq(12, 9), 29)
+      val g = if (relabel) Orientation.relabelByRank(base)._1 else base
+      val fx = new PeelFixture(g)
+      for (v <- 0 until g.n; j <- g.offsets(v) until g.offsets(v + 1))
+        assert(fx.pg.slots(j) === fx.slotOf(v, g.adj(j)), s"position $j of vertex $v")
+      // rounds of more than 2n edges each: every round but the last contracts
+      val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
+      val rounds = edges.grouped(2 * g.n + 7).toSeq
+      assert(rounds.size >= 3)
+      for ((batch, i) <- rounds.zipWithIndex) {
+        fx.peel(batch)
+        assert(fx.slotsMatch(), s"after round ${i + 1}")
+      }
+      assert(fx.pg.contractions >= rounds.size - 1)
+    }
   }
 }
