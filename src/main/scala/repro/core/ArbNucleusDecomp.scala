@@ -187,8 +187,13 @@ object ArbNucleusDecomp {
               // r-subset peeled in an earlier round, and slots peeled this
               // round are never decremented in it. So at 0 every incident
               // s-clique would abort: skip UPDATE.
-              if (table.count(slot) != 0L) {
+              val live = table.count(slot) != 0L
+              // contraction notes every peeled edge, count 0 included
+              if (live || peelable != null) {
                 table.cliqueOf(slot, sc.vsR)
+                if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
+              }
+              if (live) {
                 val iLen =
                   if (shared != null) shared.commonNeighbors(sc.vsR(0), sc.vsR(1), sc.iBuf)
                   else Intersect.commonNeighbors(peelGraph, sc.vsR, r, sc.iBuf)
@@ -227,21 +232,7 @@ object ArbNucleusDecomp {
         }
 
         buckets.updateAll(agg.drain())(table.count)
-
-        if (peelable != null) {
-          val pairs = new Array[Int](2 * ids.length)
-          Par.forBlocked(0, ids.length) { (blo, bhi) =>
-            val vsPair = new Array[Int](2)
-            var i = blo
-            while (i < bhi) {
-              table.cliqueOf(ids(i), vsPair)
-              pairs(2 * i) = vsPair(0)
-              pairs(2 * i + 1) = vsPair(1)
-              i += 1
-            }
-          }
-          peelable.notePeeled(pairs, ids.length)
-        }
+        if (peelable != null) peelable.notePeeled(ids.length)
       }
     }
     val tPeel = msSince(t0)

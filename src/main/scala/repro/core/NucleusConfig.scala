@@ -41,23 +41,16 @@ object NucleusConfig {
     contraction = false
   )
 
-  /** The paper's overall-optimal settings (§6.2 conclusion): two-level T
-    * with contiguous space and stored pointers; for (2,3) hash-table
-    * aggregation plus graph contraction and no relabeling; otherwise
-    * list-buffer aggregation plus relabeling. Falls back to the smallest
-    * feasible multi-level table when two-level keys do not fit (large r).
-    * A 4-thread sweep on orkut-lite (2,3) gave relabeling + list buffer the
-    * lowest median, but not by more than its IQR, so this pick stands
-    * (ROADMAP item 4, `BENCH_8.json`).
+  /** The optimal settings, one configuration for every (r,s): two-level T
+    * with contiguous space and stored pointers (§6.2), relabeling,
+    * list-buffer aggregation and graph contraction (which `decompose`
+    * applies at r = 2 only). Falls back to the smallest feasible
+    * multi-level table when two-level keys do not fit (large r). The paper
+    * picks no relabeling + hash table for (2,3); on 4 threads that ran
+    * within noise of this setting, so it is an ablation only (DESIGN.md).
     */
-  def optimal(r: Int, s: Int, n: Int): NucleusConfig = {
-    val base =
-      if (r == 2 && s == 3)
-        NucleusConfig(relabel = false, aggregation = UpdateAggregator.HashTableKind, contraction = true)
-      else
-        NucleusConfig(relabel = true, aggregation = UpdateAggregator.ListBufferKind)
-    base.copy(scheme = smallestFeasibleScheme(r, n))
-  }
+  def optimal(r: Int, s: Int, n: Int): NucleusConfig =
+    NucleusConfig(scheme = smallestFeasibleScheme(r, n), contraction = true)
 
   /** Prefers two-level; otherwise the smallest ℓ-multi-level whose last
     * level keys fit in 64 bits (mirrors the paper's use of 3-multi-level

@@ -72,24 +72,23 @@ final class PeelableGraph(g: CSRGraph, edges: Array[Int], edgeSlots: Array[Int],
 
   def degree(v: Int): Int = len(v)
 
-  /** Records that the edges in `peeledPairs(0 until 2 * numEdges)`
-    * (flattened u,v pairs, each edge once over all calls, their slots
-    * already marked in `peeledRound`) were peeled this round, and contracts
-    * if the §5.6 heuristics fire: peeled edges since the last contraction
-    * ≥ 2n, and only vertices that lost ≥ 1/4 of their neighbors are
-    * filtered. A filtered vertex must drop exactly the entries noted lost
-    * at it, or this throws an IllegalStateException naming the vertex.
+  /** Notes that edge (u, v), its slot already marked in `peeledRound`, was
+    * peeled this round; each edge once over all calls. Safe to call from
+    * concurrent workers.
+    */
+  def lose(u: Int, v: Int): Unit = {
+    lost.incrementAndGet(u)
+    lost.incrementAndGet(v)
+  }
+
+  /** Closes a round that peeled `numEdges` edges, each noted with [[lose]],
+    * and contracts if the §5.6 heuristics fire: peeled edges since the last
+    * contraction ≥ 2n, and only vertices that lost ≥ 1/4 of their neighbors
+    * are filtered. A filtered vertex must drop exactly the entries noted
+    * lost at it, or this throws an IllegalStateException naming the vertex.
     * Returns true if a contraction ran.
     */
-  def notePeeled(peeledPairs: Array[Int], numEdges: Int): Boolean = {
-    Par.forBlocked(0, numEdges) { (lo, hi) =>
-      var i = lo
-      while (i < hi) {
-        lost.incrementAndGet(peeledPairs(2 * i))
-        lost.incrementAndGet(peeledPairs(2 * i + 1))
-        i += 1
-      }
-    }
+  def notePeeled(numEdges: Int): Boolean = {
     peeledSinceContraction += numEdges
     if (peeledSinceContraction < 2L * n) return false
     Par.forRange(0, n) { v =>

@@ -174,11 +174,14 @@ class ArbNucleusSpec extends SparkSpec {
   }
 
   // --- aggregator × contraction × relabel, with zero-count r-cliques --------
+  // er60 peels more than 2n edges before its last round at every r = 2, so
+  // contraction must run on it
   private val sweepGraphs = TestGraphs.suite ++ Seq(
     "k5pendants1" -> TestGraphs.plantedK5WithPendants(10, 1),
-    "k5pendants2" -> TestGraphs.plantedK5WithPendants(16, 2)
+    "k5pendants2" -> TestGraphs.plantedK5WithPendants(16, 2),
+    "er60" -> TestGraphs.random(60, 0.3, 23)
   )
-  for ((name, g) <- sweepGraphs; (r, s) <- Seq((2, 3), (2, 4), (3, 4))) {
+  for ((name, g) <- sweepGraphs; (r, s) <- Seq((2, 3), (2, 4), (2, 5), (3, 4))) {
     test(s"aggregator × contraction × relabel sweep matches reference: $name (r=$r, s=$s)") {
       val ref = RefNucleus.decompose(g, r, s)
       for (agg <- aggs; contraction <- Seq(true, false); relabel <- Seq(true, false)) {
@@ -186,6 +189,8 @@ class ArbNucleusSpec extends SparkSpec {
         val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
         assert(res.coreMap === ref.coreMap, cfg.label)
         assert(res.stats.rounds === ref.rounds, cfg.label)
+        if (name == "er60" && contraction && r == 2)
+          assert(res.stats.contractions >= 1, s"${cfg.label}: expected at least one contraction")
       }
     }
   }
@@ -210,26 +215,38 @@ class ArbNucleusSpec extends SparkSpec {
 
   // Above every grain of the parallel passes: more than Par.BlockGrain
   // slots peeled in round 1 (all core-0 slots) and, at (2,3), more than
-  // Par.BlockGrain r-cliques for the unrelabeled listing to sort.
-  for ((r, s, g) <- Seq(
-         (2, 3, TestGraphs.randomWithCliques(3000, 0.02, Seq(30, 20), 61)),
-         (3, 4, TestGraphs.randomWithCliques(1000, 0.08, Seq(20, 15), 67))
+  // Par.BlockGrain r-cliques for the unrelabeled listing to sort. The
+  // paper's (2,3) pick (§6.2) runs that sort and the hash-table drain.
+  private val benchGraph23 = TestGraphs.randomWithCliques(3000, 0.02, Seq(30, 20), 61)
+  private val benchGraph34 = TestGraphs.randomWithCliques(1000, 0.08, Seq(20, 15), 67)
+  private val paperPick23 =
+    NucleusConfig(relabel = false, aggregation = UpdateAggregator.HashTableKind, contraction = true)
+  for ((r, s, g, name, cfg) <- Seq(
+         (2, 3, benchGraph23, "optimal", NucleusConfig.optimal(2, 3, benchGraph23.n)),
+         (2, 3, benchGraph23, "the paper's pick (no relabel + hash table + contraction)", paperPick23),
+         (3, 4, benchGraph34, "optimal", NucleusConfig.optimal(3, 4, benchGraph34.n))
        )) {
-    test(s"bench-scale ($r,$s), optimal: 1 thread and 4 threads give identical cores, rounds and work counters") {
-      val cfg = NucleusConfig.optimal(r, s, g.n)
+    test(s"bench-scale ($r,$s), $name: 1 thread and 4 threads give identical cores, rounds and work counters") {
       val one = repro.par.Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s, cfg))
       val four = repro.par.Par.withThreads(4)(ArbNucleusDecomp.decompose(g, r, s, cfg))
       assert(one.core.count(_ == 0L) > repro.par.Par.BlockGrain, "round 1 peels too few slots")
-      if (r == 2) {
-        assert(!cfg.relabel && cfg.contraction && cfg.aggregation == UpdateAggregator.HashTableKind)
+      if (r == 2) assert(one.stats.contractions > 0)
+      if (!cfg.relabel)
         assert(one.stats.numRCliques > repro.par.Par.BlockGrain, "too few r-cliques to sort in parallel")
-        assert(one.stats.contractions > 0)
-      }
       assert(java.util.Arrays.equals(one.core, four.core))
       assert(one.stats.rounds === four.stats.rounds)
       assert(one.stats.updateScliqueDiscoveries === four.stats.updateScliqueDiscoveries)
       assert(one.stats.contractions === four.stats.contractions)
       assert(one.stats.numSCliques === four.stats.numSCliques)
     }
+  }
+
+  test("optimal and the paper's (2,3) pick give identical cores, rounds and work counters at bench scale") {
+    val a = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, NucleusConfig.optimal(2, 3, benchGraph23.n))
+    val b = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, paperPick23)
+    assert(a.coreMap === b.coreMap)
+    assert(a.stats.rounds === b.stats.rounds)
+    assert(a.stats.updateScliqueDiscoveries === b.stats.updateScliqueDiscoveries)
+    assert(a.stats.contractions === b.stats.contractions)
   }
 }

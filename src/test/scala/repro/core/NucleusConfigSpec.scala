@@ -7,15 +7,13 @@ import repro.testutil.TestGraphs
 /** Config selection logic and the large-(r,s) end of the spectrum. */
 class NucleusConfigSpec extends SparkSpec {
 
-  test("optimal picks hash aggregation + contraction for (2,3) only") {
-    val c23 = NucleusConfig.optimal(2, 3, 1000)
-    assert(c23.aggregation === UpdateAggregator.HashTableKind)
-    assert(c23.contraction)
-    assert(!c23.relabel)
-    val c34 = NucleusConfig.optimal(3, 4, 1000)
-    assert(c34.aggregation === UpdateAggregator.ListBufferKind)
-    assert(!c34.contraction)
-    assert(c34.relabel)
+  test("optimal is the same for every r < s <= 7 except its table scheme") {
+    val one = NucleusConfig(relabel = true, aggregation = UpdateAggregator.ListBufferKind, contraction = true)
+    for (n <- Seq(1000, 1 << 20); s <- 2 to 7; r <- 1 until s) {
+      val c = NucleusConfig.optimal(r, s, n)
+      assert(c.scheme === NucleusConfig.smallestFeasibleScheme(r, n), s"(r=$r,s=$s) n=$n")
+      assert(c.copy(scheme = one.scheme) === one, s"(r=$r,s=$s) n=$n")
+    }
   }
 
   test("optimal falls back to multi-level for large r over large n") {

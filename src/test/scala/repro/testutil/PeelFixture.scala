@@ -28,8 +28,10 @@ final class PeelFixture(val g: CSRGraph) {
   }
 
   /** Notes `pairs` as peeled without marking them. */
-  def note(pairs: Seq[(Int, Int)]): Boolean =
-    pg.notePeeled(pairs.flatMap { case (u, v) => Seq(u, v) }.toArray, pairs.length)
+  def note(pairs: Seq[(Int, Int)]): Boolean = {
+    for ((u, v) <- pairs) pg.lose(u, v)
+    pg.notePeeled(pairs.length)
+  }
 
   /** True iff every live entry of the graph carries its edge's slot. */
   def slotsMatch(): Boolean =
