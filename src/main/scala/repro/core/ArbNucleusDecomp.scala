@@ -1,8 +1,8 @@
 package repro.core
 
 import java.util.concurrent.atomic.LongAdder
-import repro.cliques.{Intersect, RecListCliques}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph}
+import repro.cliques.{Intersect, Marks, RecListCliques}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph, TriangleRows}
 import repro.par.Par
 
 /** Phase timings and work counters of one decomposition run. */
@@ -17,7 +17,12 @@ final case class NucleusStats(
     tBuildMs: Double,
     tCountMs: Double,
     tPeelMs: Double,
-    tableMemory: TableMemory
+    tableMemory: TableMemory,
+    /** Words of UPDATE's structures beside T, which `tableMemory` leaves
+      * out: the (3,4) triangle rows ([[TriangleRows]]) or the r = 2 slot map
+      * ([[PeelableGraph.slots]]).
+      */
+    sideWords: Long = 0L
 ) {
   /** s-cliques touched across the whole run: initial count + re-discoveries
     * during peeling (the metric the paper compares against AND/AND-NN).
@@ -92,21 +97,36 @@ object ArbNucleusDecomp {
     val tOrient = msSince(t0)
 
     // --- list r-cliques, sorted lexicographically --------------------------
+    // at (3,4) on a relabeled graph UPDATE reads triangle rows, built from
+    // each triangle's edge positions (DESIGN.md substitution 11)
+    val withRows = cfg.relabel && r == 3 && s == 4
     t0 = System.nanoTime()
-    val (cliquesFlat, numR) = listSortedCliques(dg, r, sortNeeded = !cfg.relabel, g.n)
+    val (cliquesFlat, numR, triEdges) =
+      if (withRows) listTriangles(dg)
+      else {
+        val (flat, num) = listSortedCliques(dg, r, sortNeeded = !cfg.relabel, g.n)
+        (flat, num, null)
+      }
     val tList = msSince(t0)
 
-    // --- build T (§5.1–5.3) -------------------------------------------------
+    // --- build T (§5.1–5.3), and the triangle rows ---------------------------
     t0 = System.nanoTime()
     val contract = cfg.contraction && r == 2
-    // contraction reads each edge's slot by its CSR position
-    val edgeSlots = if (contract) new Array[Int](numR) else null
-    val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse, edgeSlots)
+    // on a relabeled graph the r = 2 list phase lists the edges in DAG
+    // order, so edge c's slot is the slot of DAG position c
+    val dagSlots = cfg.relabel && r == 2 && s == 3
+    // contraction, the rows and the (2,3) count phase read each r-clique's
+    // slot as its insert finds it
+    val cliqueSlots = if (contract || withRows || dagSlots) new Array[Int](numR) else null
+    val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse, cliqueSlots)
+    val rows =
+      if (withRows) TriangleRows.build(dg, cliquesFlat, triEdges, cliqueSlots, numR, table.capacity) else null
     val tBuild = msSince(t0)
 
     // --- count s-cliques per r-clique ---------------------------------------
     t0 = System.nanoTime()
-    if (r == 2 && s == 3) addTriangleCounts(dg, table)
+    if (r == 2 && s == 3) addTriangleCounts(dg, table, if (dagSlots) cliqueSlots else null)
+    else if (rows != null) addFourCliqueCounts(rows, cliquesFlat, cliqueSlots, numR, table)
     else
       foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
         table.addCount(table.slotOf(sub), 1L)
@@ -139,8 +159,11 @@ object ArbNucleusDecomp {
 
     val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
     val peelable: PeelableGraph =
-      if (contract) new PeelableGraph(workGraph, cliquesFlat, edgeSlots, peeledRound) else null
+      if (contract) new PeelableGraph(workGraph, cliquesFlat, cliqueSlots, peeledRound) else null
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
+    // at (2,3) on a relabeled graph UPDATE reads a triangle's other two edge
+    // slots beside their CSR positions in the slot map (substitution 11)
+    val edgeSlots = if (peelable != null && cfg.relabel && s == 3) peelable.slots else null
 
     val maxDeg = math.max(1, workGraph.maxDegree)
     val discoveries = new LongAdder
@@ -170,14 +193,46 @@ object ArbNucleusDecomp {
       finished += ids.length
       if (finished < numR) {
         agg.beginRound(expected.sum() * math.max(1, numSubsets - 1))
-        // at r = 2, ascending slots of a two-level T come grouped by first
-        // vertex, so a block stamps each shared endpoint's list once
-        if (r == 2) Par.sortInts(ids, 0, ids.length)
+        // the representative of one s-clique found from the peeled `slot`,
+        // with the slots of its C(s,r) r-subsets in `subsetSlots`: nothing if
+        // one was peeled in an earlier round (the s-clique was destroyed
+        // then); else the minimum slot peeled this round is the round's sole
+        // representative (substitute for the paper's 1/a fractions), and it
+        // decrements each surviving subset and offers it to the aggregator
+        def settle(slot: Int, subsetSlots: Array[Int]): Unit = {
+          var minA = Int.MaxValue
+          var j = 0
+          while (j < numSubsets) {
+            val sl = subsetSlots(j)
+            val pr = peeledRound(sl)
+            if (pr < thisRound) return
+            if (pr == thisRound && sl < minA) minA = sl
+            j += 1
+          }
+          if (minA == slot) {
+            j = 0
+            while (j < numSubsets) {
+              val sl = subsetSlots(j)
+              if (peeledRound(sl) > thisRound) {
+                table.addCount(sl, -1L)
+                agg.offer(sl)
+              }
+              j += 1
+            }
+          }
+        }
+
+        // ascending slots of a two-level T come grouped by first vertex: at
+        // r = 2 a block stamps each shared endpoint's list once, and at r = 3
+        // the rows of a shared first vertex lie together
+        if (r == 2 || rows != null) Par.sortInts(ids, 0, ids.length)
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
           val subsetSlots = sc.subsetIds
           val shared = if (r == 2) new Intersect.SharedEndpoint(peelGraph) else null
+          val uAt = if (edgeSlots != null) new Array[Int](maxDeg) else null
+          val hits = if (rows != null) new Array[Int](3 * math.max(1, rows.maxRow)) else null
           var localDisc = 0L
           var idx = blo
           try {
@@ -188,40 +243,53 @@ object ArbNucleusDecomp {
               // round are never decremented in it. So at 0 every incident
               // s-clique would abort: skip UPDATE.
               val live = table.count(slot) != 0L
-              // contraction notes every peeled edge, count 0 included
-              if (live || peelable != null) {
+              // contraction notes every peeled edge, count 0 included; the
+              // rows need no vertices
+              if ((live && rows == null) || peelable != null) {
                 table.cliqueOf(slot, sc.vsR)
                 if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
               }
               if (live) {
-                val iLen =
-                  if (shared != null) shared.commonNeighbors(sc.vsR(0), sc.vsR(1), sc.iBuf)
-                  else Intersect.commonNeighbors(peelGraph, sc.vsR, r, sc.iBuf)
-                localDisc += completeIncident(dg, sc, iLen) { sBuf =>
-                  // classify the C(s,r) subsets of this s-clique
-                  var abort = false
-                  var minA = Int.MaxValue
-                  var j = 0
-                  while (!abort && j < numSubsets) {
-                    val sl = table.slotOf(sc.subsets(sBuf, j))
-                    subsetSlots(j) = sl
-                    val pr = peeledRound(sl)
-                    if (pr < thisRound) abort = true // s-clique destroyed earlier
-                    else if (pr == thisRound && sl < minA) minA = sl
-                    j += 1
+                if (edgeSlots != null) {
+                  // triangle (u, v, x): edges ux and vx sit at x's positions
+                  val vAt = sc.iBuf
+                  val k = shared.positions(sc.vsR(0), sc.vsR(1), uAt, vAt)
+                  subsetSlots(0) = slot
+                  var t = 0
+                  while (t < k) {
+                    subsetSlots(1) = edgeSlots(uAt(t))
+                    subsetSlots(2) = edgeSlots(vAt(t))
+                    settle(slot, subsetSlots)
+                    t += 1
                   }
-                  // the minimum peeled subset is the round's sole representative
-                  // for this s-clique (substitute for the paper's 1/a fractions)
-                  if (!abort && minA == slot) {
-                    j = 0
-                    while (j < numSubsets) {
-                      val sl = subsetSlots(j)
-                      if (peeledRound(sl) > thisRound) {
-                        table.addCount(sl, -1L)
-                        agg.offer(sl)
-                      }
+                  localDisc += k
+                } else if (rows != null) {
+                  // 4-clique (a, b, c, x): triangles abx, acx and bcx sit
+                  // beside x in the rows of ab, ac and bc
+                  val k = rows.commonAt(slot, hits)
+                  subsetSlots(0) = slot
+                  var t = 0
+                  while (t < k) {
+                    System.arraycopy(hits, 3 * t, subsetSlots, 1, 3)
+                    settle(slot, subsetSlots)
+                    t += 1
+                  }
+                  localDisc += k
+                } else {
+                  val iLen =
+                    if (shared != null) shared.commonNeighbors(sc.vsR(0), sc.vsR(1), sc.iBuf)
+                    else Intersect.commonNeighbors(peelGraph, sc.vsR, r, sc.iBuf)
+                  localDisc += completeIncident(dg, sc, iLen) { sBuf =>
+                    // probe the subsets, stopping at one peeled earlier
+                    var dead = false
+                    var j = 0
+                    while (!dead && j < numSubsets) {
+                      val sl = table.slotOf(sc.subsets(sBuf, j))
+                      subsetSlots(j) = sl
+                      dead = peeledRound(sl) < thisRound
                       j += 1
                     }
+                    if (!dead) settle(slot, subsetSlots)
                   }
                 }
               }
@@ -248,7 +316,11 @@ object ArbNucleusDecomp {
       tBuildMs = tBuild,
       tCountMs = tCount,
       tPeelMs = tPeel,
-      tableMemory = table.memory
+      tableMemory = table.memory,
+      sideWords =
+        if (rows != null) rows.words
+        else if (peelable != null) peelable.slots.length.toLong
+        else 0L
     )
     new NucleusResult(r, s, table, core, oldOf, stats)
   }
@@ -276,11 +348,12 @@ object ArbNucleusDecomp {
     }
 
   /** The (2,3) count phase: adds each edge's triangle count, from
-    * [[RecListCliques.trianglesPerEdge]], to its slot, with one `slotOf`
-    * per DAG edge whose count is not 0. The counts equal those of adding 1
-    * per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+    * [[RecListCliques.trianglesPerEdge]], to its slot: `slots(p)` for the
+    * DAG edge at position p of `dg.adj`, or with one `slotOf` per DAG edge
+    * whose count is not 0 if `slots` is null. The counts equal those of
+    * adding 1 per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
     */
-  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable): Unit = {
+  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable, slots: Array[Int] = null): Unit = {
     val counts = RecListCliques.trianglesPerEdge(dg)
     val off = dg.offsets
     Par.forBlocked(0, dg.n) { (lo, hi) =>
@@ -291,10 +364,13 @@ object ArbNucleusDecomp {
         while (p < off(v + 1)) {
           val c = counts.get(p)
           if (c != 0) {
-            val w = dg.adj(p)
-            pair(0) = math.min(v, w)
-            pair(1) = math.max(v, w)
-            table.addCount(table.slotOf(pair), c.toLong)
+            if (slots != null) table.addCount(slots(p), c.toLong)
+            else {
+              val w = dg.adj(p)
+              pair(0) = math.min(v, w)
+              pair(1) = math.max(v, w)
+              table.addCount(table.slotOf(pair), c.toLong)
+            }
           }
           p += 1
         }
@@ -302,6 +378,49 @@ object ArbNucleusDecomp {
       }
     }
   }
+
+  /** The (3,4) count phase on the triangle rows: each 4-clique
+    * (a, b, c, x), x > c, is found once, from its lexicographically first
+    * triangle (a, b, c), as a vertex above c in the rows of ab, ac and bc,
+    * and adds 1 to the slots of its four triangles. The counts equal those
+    * of adding 1 per r-subset of each s-clique of
+    * [[foreachRSubsetOfScliques]]. `triangles`, `triSlots` and `num` are
+    * the rows' [[TriangleRows.build]] arguments.
+    */
+  private[repro] def addFourCliqueCounts(
+      rows: TriangleRows,
+      triangles: Array[Int],
+      triSlots: Array[Int],
+      num: Int,
+      table: CliqueTable
+  ): Unit =
+    Par.forBlocked(0, num) { (lo, hi) =>
+      val edges = rows.edges
+      val hits = new Array[Int](3 * math.max(1, rows.maxRow))
+      var ab = -1
+      var i = 0 // the first entry of row ab above c
+      var t = lo
+      while (t < hi) {
+        val e1 = edges(3 * t)
+        val e2 = edges(3 * t + 1)
+        val e3 = edges(3 * t + 2)
+        // row ab's part above b lists the triangles (a, b, x) in the order
+        // they come here, so its entries above c start right after (a, b, c)
+        if (e1 == ab) i += 1
+        else {
+          i = if (t == lo) rows.above(e1, triangles(3 * t + 2)) else rows.upper(e1) + 1
+          ab = e1
+        }
+        // rows ac and bc: their parts above their heads
+        val k = rows.commonFrom(i, e1, rows.upper(e2), e2, rows.upper(e3), e3, hits)
+        if (k > 0) {
+          table.addCount(triSlots(t), k.toLong)
+          var h = 0
+          while (h < 3 * k) { table.addCount(hits(h), 1L); h += 1 }
+        }
+        t += 1
+      }
+    }
 
   /** Per-thread buffers of UPDATE's front end ([[foreachIncidentSclique]]). */
   final class UpdateScratch(val r: Int, val s: Int, maxDeg: Int) {
@@ -341,6 +460,68 @@ object ArbNucleusDecomp {
       f(sc.sBuf)
     }
     found
+  }
+
+  /** The r = 3 list phase on a rank-relabeled DAG `dg`: the triangles as
+    * [[listSortedCliques]] lists them, and beside them, three per triangle
+    * (a, b, c), the positions in `dg.adj` of its edges ab, ac and bc, for
+    * [[TriangleRows.build]]. Returns the two arrays and the number of
+    * triangles.
+    *
+    * Root a stamps out(a) with `base + i`, i the index in out(a), as
+    * [[RecListCliques.trianglesPerEdge]] does, so a hit at position q of
+    * out(b) gives triangle (a, b, adj(q)) and all three positions. Throws,
+    * before concatenating the blocks' buffers, if the rows would not fit
+    * ([[TriangleRows.requireFits]]).
+    */
+  private[repro] def listTriangles(dg: DirectedGraph): (Array[Int], Int, Array[Int]) = {
+    val off = dg.offsets
+    val adj = dg.adj
+    val blocks = Par.blocksFor(dg.n, RecListCliques.RootGrain)
+    val vertParts = Array.fill(blocks)(new IntBuffer())
+    val edgeParts = Array.fill(blocks)(new IntBuffer())
+    Par.forEachBlock(dg.n, blocks) { (blk, lo, hi) =>
+      val verts = vertParts(blk)
+      val edges = edgeParts(blk)
+      val marks = Marks.acquire(dg.n)
+      val stamp = marks.stamp
+      try {
+        var a = lo
+        while (a < hi) {
+          val aLo = off(a)
+          val d = off(a + 1) - aLo
+          if (d >= 2) {
+            val base = marks.fresh(d)
+            var i = 0
+            while (i < d) { stamp(adj(aLo + i)) = base + i; i += 1 }
+            i = 0
+            while (i < d) {
+              val b = adj(aLo + i)
+              var q = off(b)
+              val qHi = off(b + 1)
+              while (q < qHi) {
+                // every stamp at or above base was written by this root
+                val at = stamp(adj(q)) - base
+                if (at >= 0) {
+                  val v = verts.extend(3)
+                  val va = verts.unsafeArray
+                  va(v) = a; va(v + 1) = b; va(v + 2) = adj(q)
+                  val e = edges.extend(3)
+                  val ea = edges.unsafeArray
+                  ea(e) = aLo + i; ea(e + 1) = aLo + at; ea(e + 2) = q
+                }
+                q += 1
+              }
+              i += 1
+            }
+          }
+          a += 1
+        }
+      } finally Marks.release(marks)
+    }
+    TriangleRows.requireFits(vertParts.map(_.size.toLong).sum / 3)
+    val flat = IntBuffer.concat(vertParts)
+    (flat, flat.length / 3, IntBuffer.concat(edgeParts))
   }
 
   /** Lists all r-cliques into a flattened, lexicographically sorted array.

@@ -51,6 +51,14 @@ object IntBuffer {
     val blocks = Par.blocksFor(n, grain)
     val parts = Array.fill(blocks)(new IntBuffer())
     Par.forEachBlock(n, blocks)((b, lo, hi) => fill(lo, hi, parts(b)))
+    concat(parts)
+  }
+
+  /** The buffers `parts` concatenated in order, copied in parallel. Throws
+    * if they hold more than an `Int` array can.
+    */
+  def concat(parts: Array[IntBuffer]): Array[Int] = {
+    val blocks = parts.length
     val starts = new Array[Long](blocks + 1)
     var b = 0
     while (b < blocks) { starts(b + 1) = starts(b) + parts(b).size; b += 1 }

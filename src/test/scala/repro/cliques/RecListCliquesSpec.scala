@@ -204,6 +204,72 @@ class RecListCliquesSpec extends SparkSpec {
     }
   }
 
+  /** Checks `shared.positions` on every edge of `queries` against
+    * [[Intersect.commonNeighbors]]: each returned position lies in its
+    * endpoint's live list and holds the k-th common neighbour. Returns how
+    * many edges took the gallop branch.
+    */
+  private def checkPositions(adjacency: Adjacency, shared: Intersect.SharedEndpoint, queries: Seq[(Int, Int)]): Int = {
+    val n = adjacency.n
+    val (uAt, vAt, expected) = (new Array[Int](n), new Array[Int](n), new Array[Int](n))
+    var gallops = 0
+    for ((u, v) <- queries) {
+      val k = shared.positions(u, v, uAt, vAt)
+      val e = Intersect.commonNeighbors(adjacency, Array(u, v), 2, expected)
+      assert(k === e, s"edge ($u, $v)")
+      for ((w, i) <- Seq(u -> uAt, v -> vAt); j <- 0 until k) {
+        val at = i(j)
+        assert(at >= adjacency.offsets(w) && at < adjacency.offsets(w) + adjacency.degree(w), s"edge ($u, $v): position $at")
+        assert(adjacency.adj(at) === expected(j), s"edge ($u, $v): entry $j in $w's list")
+      }
+      if (adjacency.degree(v) > 16L * adjacency.degree(u)) gallops += 1
+    }
+    gallops
+  }
+
+  for (contracted <- Seq(false, true); grouped <- Seq(true, false)) {
+    val graph = if (contracted) "a contracted PeelableGraph" else "a CSRGraph"
+    val order = if (grouped) "grouped by first endpoint" else "in random order"
+    test(s"SharedEndpoint.positions index exactly commonNeighbors' list in both lists, both branches: $graph, edges $order") {
+      val g = highHubGraph(300, 37)
+      val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
+      val adjacency: Adjacency =
+        if (!contracted) g
+        else {
+          val fx = new PeelFixture(g)
+          assert(fx.peel(edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }))
+          fx.pg
+        }
+      val queries = if (grouped) edges else new scala.util.Random(5).shuffle(edges)
+      val shared = new Intersect.SharedEndpoint(adjacency)
+      val gallops = try checkPositions(adjacency, shared, queries) finally shared.release()
+      assert(gallops > 0 && gallops < queries.size, s"gallops=$gallops of ${queries.size}")
+    }
+  }
+
+  test("SharedEndpoint.positions match commonNeighbors across the stamp tag wrap-around") {
+    // each stamp of a first endpoint u reserves max(1, d_u) tags, so
+    // starting 1,000 below the wrap crosses it partway through the edges
+    var failure: Throwable = null
+    val t = new Thread(() =>
+      try Par.withThreads(1) {
+        val g = highHubGraph(300, 37)
+        val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
+        val firsts = edges.map(_._1).distinct
+        val reserved = firsts.map(u => math.max(1L, g.degree(u))).sum
+        assert(reserved > 2000L, s"only $reserved tags reserved")
+        Marks.restartTags(Int.MaxValue - 1000)
+        val shared = new Intersect.SharedEndpoint(g)
+        val gallops = try checkPositions(g, shared, edges) finally shared.release()
+        assert(gallops > 0)
+      } catch { case e: Throwable => failure = e }
+      finally Marks.restartTags(0)
+    )
+    t.start()
+    t.join()
+    if (failure != null) throw failure
+  }
+
   for (relabel <- Seq(false, true); threads <- Seq(1, 4)) {
     test(s"(2,3) per-DAG-edge triangle counts equal the per-subset count phase, slot for slot: relabel=$relabel, $threads thread(s)") {
       // two hubs, a random core, and pendant edges in no triangle; more
@@ -230,6 +296,26 @@ class RecListCliquesSpec extends SparkSpec {
       assert(counts.count(_ == 0L) >= pendants.size, "zero-count edges")
       assert(counts.max >= 100L, "a hub edge")
       assert(counts.sum === 3 * RecListCliques.countCliques(dg, 3))
+    }
+  }
+
+  for (threads <- Seq(1, 4)) {
+    test(s"(2,3) count phase by the slots T reports in DAG order equals the probing one on a relabeled graph: $threads thread(s)") {
+      val core = highHubGraph(300, 43)
+      val (g, dg, _) = Orientation.relabelByRank(core)
+      val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, 2, sortNeeded = false, g.n)
+      assert(num === dg.adj.length)
+      val slots = new Array[Int](num)
+      val bySlots = CliqueTable.build(flat, num, 2, g.n, slots = slots)
+      val probed = CliqueTable.build(flat, num, 2, g.n)
+      for (u <- 0 until dg.n; p <- dg.offsets(u) until dg.offsets(u + 1))
+        assert(slots(p) === bySlots.slotOf(Array(u, dg.adj(p))), s"DAG edge $p")
+      Par.withThreads(threads) {
+        ArbNucleusDecomp.addTriangleCounts(dg, bySlots, slots)
+        ArbNucleusDecomp.addTriangleCounts(dg, probed)
+      }
+      for (slot <- bySlots.occupiedSlots) assert(bySlots.count(slot) === probed.count(slot), s"slot $slot")
+      assert(bySlots.occupiedSlots.map(bySlots.count).sum === 3 * RecListCliques.countCliques(dg, 3))
     }
   }
 

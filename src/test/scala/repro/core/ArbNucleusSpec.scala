@@ -241,6 +241,38 @@ class ArbNucleusSpec extends SparkSpec {
     }
   }
 
+  test("bench-scale (3,4): the row kernel (relabel on) and the generic UPDATE (relabel off) give identical cores, rounds and work counters") {
+    val cfg = NucleusConfig.optimal(3, 4, benchGraph34.n)
+    val rows = ArbNucleusDecomp.decompose(benchGraph34, 3, 4, cfg)
+    val generic = ArbNucleusDecomp.decompose(benchGraph34, 3, 4, cfg.copy(relabel = false))
+    assert(rows.coreMap === generic.coreMap)
+    assert(rows.stats.rounds === generic.stats.rounds)
+    assert(rows.stats.numSCliques === generic.stats.numSCliques)
+    assert(rows.stats.updateScliqueDiscoveries === generic.stats.updateScliqueDiscoveries)
+    assert(rows.stats.updateScliqueDiscoveries > 0L)
+  }
+
+  test("sideWords counts the (3,4) rows and the r = 2 slot map, and tableMemory stays T alone") {
+    val g = TestGraphs.randomWithCliques(200, 0.1, Seq(12), 71)
+    val m = g.adj.length // DAG edges at r = 3 rows, CSR entries at r = 2
+    for ((r, s, cfg) <- Seq(
+           (3, 4, NucleusConfig.optimal(3, 4, g.n)),
+           (2, 3, NucleusConfig.optimal(2, 3, g.n)),
+           (3, 4, NucleusConfig.optimal(3, 4, g.n).copy(relabel = false)),
+           (3, 5, NucleusConfig.optimal(3, 5, g.n)),
+           (2, 3, NucleusConfig.unoptimized)
+         )) {
+      val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
+      val st = res.stats
+      val expected =
+        if (cfg.relabel && r == 3 && s == 4) (m / 2 + 1L) + m / 2 + 9L * st.numRCliques + res.table.capacity
+        else if (cfg.contraction && r == 2) m.toLong
+        else 0L
+      assert(st.sideWords === expected, s"($r,$s) ${cfg.label}")
+      assert(st.tableMemory === res.table.memory, s"($r,$s) ${cfg.label}")
+    }
+  }
+
   test("optimal and the paper's (2,3) pick give identical cores, rounds and work counters at bench scale") {
     val a = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, NucleusConfig.optimal(2, 3, benchGraph23.n))
     val b = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, paperPick23)
