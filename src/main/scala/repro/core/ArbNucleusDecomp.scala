@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.LongAdder
 import repro.cliques.{Intersect, Marks, RecListCliques}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph, TriangleRows}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph, TriangleRows, TrussRows}
 import repro.par.Par
 
 /** Phase timings and work counters of one decomposition run. */
@@ -19,8 +19,8 @@ final case class NucleusStats(
     tPeelMs: Double,
     tableMemory: TableMemory,
     /** Words of UPDATE's structures beside T, which `tableMemory` leaves
-      * out: the (3,4) triangle rows ([[TriangleRows]]) or the r = 2 slot map
-      * ([[PeelableGraph.slots]]).
+      * out: the (3,4) triangle rows ([[TriangleRows]]), the (2,3) rows
+      * ([[TrussRows]]) or the r = 2 slot map ([[PeelableGraph.slots]]).
       */
     sideWords: Long = 0L
 ) {
@@ -97,9 +97,11 @@ object ArbNucleusDecomp {
     val tOrient = msSince(t0)
 
     // --- list r-cliques, sorted lexicographically --------------------------
-    // at (3,4) on a relabeled graph UPDATE reads triangle rows, built from
-    // each triangle's edge positions (DESIGN.md substitution 11)
+    // at s = r + 1 on a relabeled graph UPDATE reads per-edge rows, built
+    // from each triangle's edge positions (DESIGN.md substitution 11): at
+    // (3,4) triangle rows, at (2,3) truss rows
     val withRows = cfg.relabel && r == 3 && s == 4
+    val withTruss = cfg.relabel && r == 2 && s == 3
     t0 = System.nanoTime()
     val (cliquesFlat, numR, triEdges) =
       if (withRows) listTriangles(dg)
@@ -111,13 +113,12 @@ object ArbNucleusDecomp {
 
     // --- build T (§5.1–5.3), and the triangle rows ---------------------------
     t0 = System.nanoTime()
-    val contract = cfg.contraction && r == 2
-    // on a relabeled graph the r = 2 list phase lists the edges in DAG
-    // order, so edge c's slot is the slot of DAG position c
-    val dagSlots = cfg.relabel && r == 2 && s == 3
-    // contraction, the rows and the (2,3) count phase read each r-clique's
-    // slot as its insert finds it
-    val cliqueSlots = if (contract || withRows || dagSlots) new Array[Int](numR) else null
+    // the truss rows replace contraction at (2,3)
+    val contract = cfg.contraction && r == 2 && !withTruss
+    // contraction and the rows read each r-clique's slot as its insert
+    // finds it; on a relabeled graph the r = 2 list phase lists the edges in
+    // DAG order, so edge c's slot is the slot of DAG position c
+    val cliqueSlots = if (contract || withRows || withTruss) new Array[Int](numR) else null
     val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse, cliqueSlots)
     val rows =
       if (withRows) TriangleRows.build(dg, cliquesFlat, triEdges, cliqueSlots, numR, table.capacity) else null
@@ -125,7 +126,13 @@ object ArbNucleusDecomp {
 
     // --- count s-cliques per r-clique ---------------------------------------
     t0 = System.nanoTime()
-    if (r == 2 && s == 3) addTriangleCounts(dg, table, if (dagSlots) cliqueSlots else null)
+    val truss =
+      if (withTruss) {
+        val (_, numTri, edges) = listTriangles(dg, withVertices = false)
+        TrussRows.build(edges, numTri, cliqueSlots, table.capacity)
+      } else null
+    if (truss != null) addRowLengths(truss, table)
+    else if (r == 2 && s == 3) addTriangleCounts(dg, table)
     else if (rows != null) addFourCliqueCounts(rows, cliquesFlat, cliqueSlots, numR, table)
     else
       foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
@@ -161,9 +168,6 @@ object ArbNucleusDecomp {
     val peelable: PeelableGraph =
       if (contract) new PeelableGraph(workGraph, cliquesFlat, cliqueSlots, peeledRound) else null
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
-    // at (2,3) on a relabeled graph UPDATE reads a triangle's other two edge
-    // slots beside their CSR positions in the slot map (substitution 11)
-    val edgeSlots = if (peelable != null && cfg.relabel && s == 3) peelable.slots else null
 
     val maxDeg = math.max(1, workGraph.maxDegree)
     val discoveries = new LongAdder
@@ -225,13 +229,12 @@ object ArbNucleusDecomp {
         // ascending slots of a two-level T come grouped by first vertex: at
         // r = 2 a block stamps each shared endpoint's list once, and at r = 3
         // the rows of a shared first vertex lie together
-        if (r == 2 || rows != null) Par.sortInts(ids, 0, ids.length)
+        if ((r == 2 && truss == null) || rows != null) Par.sortInts(ids, 0, ids.length)
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
           val subsetSlots = sc.subsetIds
-          val shared = if (r == 2) new Intersect.SharedEndpoint(peelGraph) else null
-          val uAt = if (edgeSlots != null) new Array[Int](maxDeg) else null
+          val shared = if (r == 2 && truss == null) new Intersect.SharedEndpoint(peelGraph) else null
           val hits = if (rows != null) new Array[Int](3 * math.max(1, rows.maxRow)) else null
           var localDisc = 0L
           var idx = blo
@@ -245,24 +248,25 @@ object ArbNucleusDecomp {
               val live = table.count(slot) != 0L
               // contraction notes every peeled edge, count 0 included; the
               // rows need no vertices
-              if ((live && rows == null) || peelable != null) {
+              if ((live && rows == null && truss == null) || peelable != null) {
                 table.cliqueOf(slot, sc.vsR)
                 if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
               }
               if (live) {
-                if (edgeSlots != null) {
-                  // triangle (u, v, x): edges ux and vx sit at x's positions
-                  val vAt = sc.iBuf
-                  val k = shared.positions(sc.vsR(0), sc.vsR(1), uAt, vAt)
+                if (truss != null) {
+                  // triangle (u, v, x): the row holds the slots of ux and vx
+                  val entries = truss.entries
+                  var e = truss.offsets(slot)
+                  val eHi = truss.offsets(slot + 1)
+                  localDisc += eHi - e
                   subsetSlots(0) = slot
-                  var t = 0
-                  while (t < k) {
-                    subsetSlots(1) = edgeSlots(uAt(t))
-                    subsetSlots(2) = edgeSlots(vAt(t))
+                  while (e < eHi) {
+                    val other = entries(e)
+                    subsetSlots(1) = (other >>> 32).toInt
+                    subsetSlots(2) = other.toInt
                     settle(slot, subsetSlots)
-                    t += 1
+                    e += 1
                   }
-                  localDisc += k
                 } else if (rows != null) {
                   // 4-clique (a, b, c, x): triangles abx, acx and bcx sit
                   // beside x in the rows of ab, ac and bc
@@ -319,6 +323,7 @@ object ArbNucleusDecomp {
       tableMemory = table.memory,
       sideWords =
         if (rows != null) rows.words
+        else if (truss != null) truss.words
         else if (peelable != null) peelable.slots.length.toLong
         else 0L
     )
@@ -347,13 +352,13 @@ object ArbNucleusDecomp {
       }
     }
 
-  /** The (2,3) count phase: adds each edge's triangle count, from
-    * [[RecListCliques.trianglesPerEdge]], to its slot: `slots(p)` for the
-    * DAG edge at position p of `dg.adj`, or with one `slotOf` per DAG edge
-    * whose count is not 0 if `slots` is null. The counts equal those of
-    * adding 1 per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+  /** The (2,3) count phase without rows (an unrelabeled graph): adds each
+    * edge's triangle count, from [[RecListCliques.trianglesPerEdge]], to its
+    * slot, with one `slotOf` per DAG edge whose count is not 0. The counts
+    * equal those of adding 1 per r-subset of each s-clique of
+    * [[foreachRSubsetOfScliques]].
     */
-  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable, slots: Array[Int] = null): Unit = {
+  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable): Unit = {
     val counts = RecListCliques.trianglesPerEdge(dg)
     val off = dg.offsets
     Par.forBlocked(0, dg.n) { (lo, hi) =>
@@ -364,13 +369,10 @@ object ArbNucleusDecomp {
         while (p < off(v + 1)) {
           val c = counts.get(p)
           if (c != 0) {
-            if (slots != null) table.addCount(slots(p), c.toLong)
-            else {
-              val w = dg.adj(p)
-              pair(0) = math.min(v, w)
-              pair(1) = math.max(v, w)
-              table.addCount(table.slotOf(pair), c.toLong)
-            }
+            val w = dg.adj(p)
+            pair(0) = math.min(v, w)
+            pair(1) = math.max(v, w)
+            table.addCount(table.slotOf(pair), c.toLong)
           }
           p += 1
         }
@@ -378,6 +380,20 @@ object ArbNucleusDecomp {
       }
     }
   }
+
+  /** The (2,3) count phase on the truss rows: adds each row's length, the
+    * edge's triangle count, to its slot. The counts equal those of
+    * [[addTriangleCounts]].
+    */
+  private[repro] def addRowLengths(truss: TrussRows, table: CliqueTable): Unit =
+    Par.forBlocked(0, table.capacity, Par.BlockGrain) { (lo, hi) =>
+      var slot = lo
+      while (slot < hi) {
+        val k = truss.length(slot)
+        if (k != 0) table.addCount(slot, k.toLong)
+        slot += 1
+      }
+    }
 
   /** The (3,4) count phase on the triangle rows: each 4-clique
     * (a, b, c, x), x > c, is found once, from its lexicographically first
@@ -466,7 +482,8 @@ object ArbNucleusDecomp {
     * [[listSortedCliques]] lists them, and beside them, three per triangle
     * (a, b, c), the positions in `dg.adj` of its edges ab, ac and bc, for
     * [[TriangleRows.build]]. Returns the two arrays and the number of
-    * triangles.
+    * triangles. Without `withVertices` it lists the positions alone, for
+    * [[TrussRows.build]], and returns null for the triangles.
     *
     * Root a stamps out(a) with `base + i`, i the index in out(a), as
     * [[RecListCliques.trianglesPerEdge]] does, so a hit at position q of
@@ -474,14 +491,14 @@ object ArbNucleusDecomp {
     * before concatenating the blocks' buffers, if the rows would not fit
     * ([[TriangleRows.requireFits]]).
     */
-  private[repro] def listTriangles(dg: DirectedGraph): (Array[Int], Int, Array[Int]) = {
+  private[repro] def listTriangles(dg: DirectedGraph, withVertices: Boolean = true): (Array[Int], Int, Array[Int]) = {
     val off = dg.offsets
     val adj = dg.adj
     val blocks = Par.blocksFor(dg.n, RecListCliques.RootGrain)
-    val vertParts = Array.fill(blocks)(new IntBuffer())
+    val vertParts = if (withVertices) Array.fill(blocks)(new IntBuffer()) else null
     val edgeParts = Array.fill(blocks)(new IntBuffer())
     Par.forEachBlock(dg.n, blocks) { (blk, lo, hi) =>
-      val verts = vertParts(blk)
+      val verts = if (withVertices) vertParts(blk) else null
       val edges = edgeParts(blk)
       val marks = Marks.acquire(dg.n)
       val stamp = marks.stamp
@@ -503,9 +520,11 @@ object ArbNucleusDecomp {
                 // every stamp at or above base was written by this root
                 val at = stamp(adj(q)) - base
                 if (at >= 0) {
-                  val v = verts.extend(3)
-                  val va = verts.unsafeArray
-                  va(v) = a; va(v + 1) = b; va(v + 2) = adj(q)
+                  if (verts != null) {
+                    val v = verts.extend(3)
+                    val va = verts.unsafeArray
+                    va(v) = a; va(v + 1) = b; va(v + 2) = adj(q)
+                  }
                   val e = edges.extend(3)
                   val ea = edges.unsafeArray
                   ea(e) = aLo + i; ea(e + 1) = aLo + at; ea(e + 2) = q
@@ -519,9 +538,9 @@ object ArbNucleusDecomp {
         }
       } finally Marks.release(marks)
     }
-    TriangleRows.requireFits(vertParts.map(_.size.toLong).sum / 3)
-    val flat = IntBuffer.concat(vertParts)
-    (flat, flat.length / 3, IntBuffer.concat(edgeParts))
+    val num = edgeParts.map(_.size.toLong).sum / 3
+    TriangleRows.requireFits(num)
+    (if (withVertices) IntBuffer.concat(vertParts) else null, num.toInt, IntBuffer.concat(edgeParts))
   }
 
   /** Lists all r-cliques into a flattened, lexicographically sorted array.

@@ -1,5 +1,6 @@
 package repro.graph
 
+import java.util.concurrent.atomic.AtomicInteger
 import repro.par.Par
 
 /** UPDATE's input at (3,4) on a rank-relabeled graph (DESIGN.md
@@ -49,16 +50,7 @@ final class TriangleRows private (
   /** The index of row `e`'s first entry whose vertex is above `x`, by
     * binary search.
     */
-  def above(e: Int, x: Int): Int = {
-    val key = TriangleRows.entry(x, -1) // x's largest entry
-    var lo = offsets(e)
-    var hi = offsets(e + 1)
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (entries(mid) <= key) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
+  def above(e: Int, x: Int): Int = TriangleRows.above(offsets, entries, e, x)
 
   /** For each 4-clique (a, b, c, x) through the triangle (a, b, c) at
     * `slot` of T, ascending in x, writes the slots of (a, b, x), (a, c, x)
@@ -132,18 +124,32 @@ object TriangleRows {
         "entries of an Int-indexed array"
     )
 
+  /** The index of row `e`'s first entry whose vertex is above `x`, by
+    * binary search.
+    */
+  private def above(offsets: Array[Int], entries: Array[Long], e: Int, x: Int): Int = {
+    val key = entry(x, -1) // x's largest entry
+    var lo = offsets(e)
+    var hi = offsets(e + 1)
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (entries(mid) <= key) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
   /** Builds the rows of the `num` triangles of the rank-relabeled DAG `dg`:
     * `triangles(3c until 3c + 3)` holds triangle c's vertices a < b < c,
     * the triangles in lexicographic order; `edges(3c until 3c + 3)` the
     * positions in `dg.adj` of its edges ab, ac and bc; `triSlots(c)` its
     * slot in T, whose slot space is `capacity` wide. The rows keep `edges`.
     *
-    * One stable [[Par.scatter]] by edge places the 3 · `num` entries. As the
+    * [[placeByKey]] places the 3 · `num` entries by edge, stably. As the
     * triangles come in lexicographic order, each row comes out ascending:
     * row (u, w) receives first the x < u (triangles (x, u, w), ordered by
     * first vertex), then the u < x < w ((u, x, w), by second vertex), then
     * the x > w ((u, w, x), by third vertex). That last part starts at the
-    * row's first triangle (u, w, x), which [[TriangleRows.upper]] records.
+    * row's first entry above w, which [[TriangleRows.upper]] records.
     */
   def build(
       dg: DirectedGraph,
@@ -159,42 +165,104 @@ object TriangleRows {
       s"$num triangles need $total vertices and edge positions and $num slots")
     val numEdges = dg.adj.length
     val offsets = new Array[Int](numEdges + 1)
-    val uppers = new Array[Int](numEdges)
     val entries = new Array[Long](total)
-    var next = 0
-    var maxRow = 0
-    Par.scatter(total, numEdges) { (lo, hi, hist) =>
-      var t = lo
-      while (t < hi) { hist(edges(t)) += 1; t += 1 }
-    } { (e, size) =>
-      offsets(e) = next
-      next += size
-      uppers(e) = next // moved to the first triangle (u, w, x), if any
-      if (size > maxRow) maxRow = size
-      offsets(e)
-    } { (lo, hi, pos) =>
-      // entry t is edge j = t % 3 of triangle c = t / 3; its third vertex
-      // is the triangle's vertex 2 − j
-      var c = lo / 3
-      var j = lo - 3 * c
-      var t = lo
-      while (t < hi) {
-        val e = edges(t)
-        val at = pos(e)
-        entries(at) = entry(triangles(3 * c + 2 - j), triSlots(c))
-        if (j == 0 && (c == 0 || edges(3 * c - 3) != e)) uppers(e) = at
-        pos(e) = at + 1
-        j += 1
-        if (j == 3) { j = 0; c += 1 }
-        t += 1
-      }
+    // entry t is edge j = t % 3 of triangle c = t / 3; its third vertex is
+    // the triangle's vertex 2 − j
+    placeByKey(edges, total, numEdges, offsets) { (t, at) =>
+      val c = t / 3
+      val j = t - 3 * c
+      entries(at) = entry(triangles(3 * c + 2 - j), triSlots(c))
     }
-    offsets(numEdges) = total
+    val uppers = new Array[Int](numEdges)
+    val longest = new AtomicInteger
+    Par.forBlocked(0, numEdges, Par.BlockGrain) { (lo, hi) =>
+      var most = 0
+      var e = lo
+      while (e < hi) {
+        uppers(e) = above(offsets, entries, e, dg.adj(e))
+        most = math.max(most, offsets(e + 1) - offsets(e))
+        e += 1
+      }
+      longest.accumulateAndGet(most, math.max)
+    }
     val triangleAt = new Array[Int](capacity)
     Par.forBlocked(0, num) { (lo, hi) =>
       var c = lo
       while (c < hi) { triangleAt(triSlots(c)) = c; c += 1 }
     }
-    new TriangleRows(offsets, entries, uppers, edges, triangleAt, maxRow)
+    new TriangleRows(offsets, entries, uppers, edges, triangleAt, longest.get)
+  }
+
+  /** Keys per coarse bucket of [[placeByKey]], as a power of two. */
+  private final val CoarseBits = 10
+
+  /** A stable counting sort of the items 0 until `n` by key `keys(t)`, in
+    * 0 until `numKeys`: writes the first position of each key's items to
+    * `offsets(key)` and `n` to `offsets(numKeys)`, and calls
+    * `place(t, at)` once per item with its position, the items of one key
+    * at consecutive positions in item order. It runs in two levels, so that
+    * neither needs a histogram per block over all keys:
+    *   - a [[Par.scatter]] of the items by coarse bucket, `key >>> 10`,
+    *     into a scratch array;
+    *   - inside each coarse bucket, in parallel over the buckets, a counting
+    *     sort by key that also yields the bucket's offsets.
+    */
+  private[graph] def placeByKey(keys: Array[Int], n: Int, numKeys: Int, offsets: Array[Int])(
+      place: (Int, Int) => Unit
+  ): Unit = {
+    val width = 1 << CoarseBits
+    val coarse = ((numKeys + width - 1L) >>> CoarseBits).toInt
+    val starts = new Array[Int](coarse + 1)
+    val byCoarse = new Array[Int](n)
+    var next = 0
+    Par.scatter(n, coarse) { (lo, hi, hist) =>
+      var t = lo
+      while (t < hi) { hist(keys(t) >>> CoarseBits) += 1; t += 1 }
+    } { (d, size) =>
+      starts(d) = next
+      next += size
+      starts(d)
+    } { (lo, hi, pos) =>
+      var t = lo
+      while (t < hi) {
+        val d = keys(t) >>> CoarseBits
+        byCoarse(pos(d)) = t
+        pos(d) += 1
+        t += 1
+      }
+    }
+    starts(coarse) = n
+    Par.forBlocked(0, coarse, grain = 1) { (dLo, dHi) =>
+      val cursor = new Array[Int](width)
+      var d = dLo
+      while (d < dHi) {
+        val k0 = d << CoarseBits
+        val keysHere = math.min(width, numKeys - k0)
+        val lo = starts(d)
+        val hi = starts(d + 1)
+        java.util.Arrays.fill(cursor, 0, keysHere, 0)
+        var i = lo
+        while (i < hi) { cursor(keys(byCoarse(i)) - k0) += 1; i += 1 }
+        var at = lo
+        var k = 0
+        while (k < keysHere) {
+          val size = cursor(k)
+          offsets(k0 + k) = at
+          cursor(k) = at
+          at += size
+          k += 1
+        }
+        i = lo
+        while (i < hi) {
+          val t = byCoarse(i)
+          val k = keys(t) - k0
+          place(t, cursor(k))
+          cursor(k) += 1
+          i += 1
+        }
+        d += 1
+      }
+    }
+    offsets(numKeys) = n
   }
 }

@@ -4,7 +4,7 @@ import java.util.concurrent.atomic.AtomicLong
 import repro.SparkSpec
 import repro.baselines.RefNucleus
 import repro.core.{ArbNucleusDecomp, CliqueTable}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, TrussRows}
 import repro.par.Par
 import repro.sparkgen.GraphGen
 import repro.sparkops.EdgeOps
@@ -310,8 +310,10 @@ class RecListCliquesSpec extends SparkSpec {
       val probed = CliqueTable.build(flat, num, 2, g.n)
       for (u <- 0 until dg.n; p <- dg.offsets(u) until dg.offsets(u + 1))
         assert(slots(p) === bySlots.slotOf(Array(u, dg.adj(p))), s"DAG edge $p")
+      // the truss rows read the slots T reported for each triangle's edges
       Par.withThreads(threads) {
-        ArbNucleusDecomp.addTriangleCounts(dg, bySlots, slots)
+        val (_, numTri, edges) = ArbNucleusDecomp.listTriangles(dg, withVertices = false)
+        ArbNucleusDecomp.addRowLengths(TrussRows.build(edges, numTri, slots, bySlots.capacity), bySlots)
         ArbNucleusDecomp.addTriangleCounts(dg, probed)
       }
       for (slot <- bySlots.occupiedSlots) assert(bySlots.count(slot) === probed.count(slot), s"slot $slot")

@@ -189,7 +189,10 @@ class ArbNucleusSpec extends SparkSpec {
         val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
         assert(res.coreMap === ref.coreMap, cfg.label)
         assert(res.stats.rounds === ref.rounds, cfg.label)
-        if (name == "er60" && contraction && r == 2)
+        // relabeled (2,3) reads the truss rows, which replace contraction
+        if (relabel && r == 2 && s == 3)
+          assert(res.stats.contractions === 0, cfg.label)
+        else if (name == "er60" && contraction && r == 2)
           assert(res.stats.contractions >= 1, s"${cfg.label}: expected at least one contraction")
       }
     }
@@ -230,7 +233,8 @@ class ArbNucleusSpec extends SparkSpec {
       val one = repro.par.Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s, cfg))
       val four = repro.par.Par.withThreads(4)(ArbNucleusDecomp.decompose(g, r, s, cfg))
       assert(one.core.count(_ == 0L) > repro.par.Par.BlockGrain, "round 1 peels too few slots")
-      if (r == 2) assert(one.stats.contractions > 0)
+      // relabeled (2,3) reads the truss rows instead of contracting
+      if (r == 2) assert((one.stats.contractions > 0) === !cfg.relabel)
       if (!cfg.relabel)
         assert(one.stats.numRCliques > repro.par.Par.BlockGrain, "too few r-cliques to sort in parallel")
       assert(java.util.Arrays.equals(one.core, four.core))
@@ -258,6 +262,8 @@ class ArbNucleusSpec extends SparkSpec {
     for ((r, s, cfg) <- Seq(
            (3, 4, NucleusConfig.optimal(3, 4, g.n)),
            (2, 3, NucleusConfig.optimal(2, 3, g.n)),
+           (2, 3, NucleusConfig.optimal(2, 3, g.n).copy(relabel = false)),
+           (2, 4, NucleusConfig.optimal(2, 4, g.n)),
            (3, 4, NucleusConfig.optimal(3, 4, g.n).copy(relabel = false)),
            (3, 5, NucleusConfig.optimal(3, 5, g.n)),
            (2, 3, NucleusConfig.unoptimized)
@@ -266,6 +272,7 @@ class ArbNucleusSpec extends SparkSpec {
       val st = res.stats
       val expected =
         if (cfg.relabel && r == 3 && s == 4) (m / 2 + 1L) + m / 2 + 9L * st.numRCliques + res.table.capacity
+        else if (cfg.relabel && r == 2 && s == 3) res.table.capacity + 1L + 6L * st.numSCliques // the truss rows
         else if (cfg.contraction && r == 2) m.toLong
         else 0L
       assert(st.sideWords === expected, s"($r,$s) ${cfg.label}")
@@ -273,12 +280,15 @@ class ArbNucleusSpec extends SparkSpec {
     }
   }
 
-  test("optimal and the paper's (2,3) pick give identical cores, rounds and work counters at bench scale") {
+  test("optimal (truss rows) and the paper's (2,3) pick (contraction) give identical cores, rounds and s-clique counts at bench scale") {
     val a = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, NucleusConfig.optimal(2, 3, benchGraph23.n))
     val b = ArbNucleusDecomp.decompose(benchGraph23, 2, 3, paperPick23)
     assert(a.coreMap === b.coreMap)
     assert(a.stats.rounds === b.stats.rounds)
-    assert(a.stats.updateScliqueDiscoveries === b.stats.updateScliqueDiscoveries)
-    assert(a.stats.contractions === b.stats.contractions)
+    assert(a.stats.numSCliques === b.stats.numSCliques)
+    // a row lists every triangle through its edge; contracted lists hide
+    // some whose other edges were peeled earlier
+    assert(a.stats.updateScliqueDiscoveries >= b.stats.updateScliqueDiscoveries)
+    assert(a.stats.contractions === 0 && b.stats.contractions > 0)
   }
 }

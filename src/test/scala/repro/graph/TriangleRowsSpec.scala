@@ -61,6 +61,31 @@ class TriangleRowsSpec extends SparkSpec {
     }
   }
 
+  for ((name, g) <- graphs; threads <- Seq(1, 4)) {
+    test(s"rows equal, array for array, one sequential stable pass placing the entries by edge: $name, $threads thread(s)") {
+      val fx = new Fixture(g)
+      import fx._
+      val numEdges = dg.adj.length
+      val offsets = new Array[Int](numEdges + 1)
+      for (t <- 0 until 3 * num) offsets(edges(t) + 1) += 1
+      for (e <- 0 until numEdges) offsets(e + 1) += offsets(e)
+      val next = offsets.clone()
+      val entries = new Array[Long](3 * num)
+      val uppers = offsets.tail.clone() // row ends, unless a triangle (u, w, x) starts the upper part
+      for (t <- 0 until 3 * num) {
+        val (c, j, e) = (t / 3, t % 3, edges(t))
+        entries(next(e)) = TriangleRows.entry(flat(3 * c + 2 - j), slots(c))
+        if (j == 0 && (c == 0 || edges(3 * c - 3) != e)) uppers(e) = next(e)
+        next(e) += 1
+      }
+      val built = Par.withThreads(threads)(TriangleRows.build(dg, flat, edges, slots, num, table.capacity))
+      assert(built.offsets.toSeq === offsets.toSeq)
+      assert(built.entries.toSeq === entries.toSeq)
+      assert((0 until numEdges).map(built.upper) === uppers.toSeq)
+      assert(built.maxRow === (0 until numEdges).map(e => offsets(e + 1) - offsets(e)).foldLeft(0)(math.max))
+    }
+  }
+
   for ((name, g) <- graphs) {
     test(s"commonAt gives, per 4-clique through the triangle at a slot, the slots of its other three triangles: $name") {
       val fx = new Fixture(g)
