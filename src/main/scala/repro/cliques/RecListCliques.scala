@@ -1,6 +1,5 @@
 package repro.cliques
 
-import java.util.concurrent.atomic.AtomicIntegerArray
 import repro.graph.{Adjacency, DirectedGraph}
 import repro.par.Par
 
@@ -39,61 +38,6 @@ object RecListCliques {
     val acc = new java.util.concurrent.atomic.LongAdder
     forRootBlocks(dg) { roots => acc.add(countFromRoots(dg, k, roots)) }
     acc.sum()
-  }
-
-  /** The number of triangles through each edge of the oriented graph `dg`,
-    * by its position in `dg.adj`: the (2,3) count phase, without listing
-    * the triangles' edges one by one.
-    *
-    * Root v stamps its out-neighbours with `base + i`, i their index in
-    * out(v), so one stamp read gives both membership and position. Each
-    * triangle (v, u, w), u and w in out(v), w in out(u), adds 1 to v's local
-    * counts at u's and w's indices and 1 to w's position in out(u) with one
-    * atomic increment; v then adds its local counts to its own positions.
-    */
-  def trianglesPerEdge(dg: DirectedGraph): AtomicIntegerArray = {
-    val off = dg.offsets
-    val adj = dg.adj
-    val counts = new AtomicIntegerArray(adj.length)
-    val maxOut = math.max(1, dg.maxOutDegree)
-    forRootBlocks(dg) { roots =>
-      val local = new Array[Int](maxOut)
-      val marks = Marks.acquire(dg.n)
-      val stamp = marks.stamp
-      try {
-        while (roots.hasNext) {
-          val v = roots.next()
-          val lo = off(v)
-          val d = off(v + 1) - lo
-          if (d >= 2) {
-            val base = marks.fresh(d)
-            var i = 0
-            while (i < d) { stamp(adj(lo + i)) = base + i; i += 1 }
-            i = 0
-            while (i < d) {
-              val u = adj(lo + i)
-              var found = 0
-              var q = off(u)
-              val qHi = off(u + 1)
-              while (q < qHi) {
-                // every stamp at or above base was written by this root
-                val at = stamp(adj(q)) - base
-                if (at >= 0) { local(at) += 1; found += 1; counts.incrementAndGet(q) }
-                q += 1
-              }
-              local(i) += found
-              i += 1
-            }
-            i = 0
-            while (i < d) {
-              if (local(i) != 0) { counts.addAndGet(lo + i, local(i)); local(i) = 0 }
-              i += 1
-            }
-          }
-        }
-      } finally Marks.release(marks)
-    }
-    counts
   }
 
   /** Roots per block, at least, of the parallel listings. */
@@ -396,72 +340,6 @@ object Intersect {
     } finally Marks.release(marks)
   }
 
-  /** UPDATE's kernel at r = 2 for one block of peeled edges, taken grouped
-    * by first endpoint (ascending slots of a two-level T): the common
-    * neighbours of an edge (u, v), found by their positions in `g.adj`.
-    * u's list is stamped only when u differs from the last edge's, each
-    * entry with `base + i`, i its index in the list, so a stamp read gives
-    * both membership and u's position. v's entries are then scanned against
-    * the stamps, or u's list gallops through v's when v's is more than
-    * [[GallopRatio]] times longer. Each call gives the same list as
-    * [[Intersect.commonNeighbors]]. The stamp array is held from
-    * construction to [[release]], so lists of `g` must not change in
-    * between.
-    */
-  final class SharedEndpoint(g: Adjacency) {
-    private val marks = Marks.acquire(g.n)
-    private var stamped = -1
-    private var base = 0
-
-    /** Writes the positions in `g.adj` of the common neighbours of u and v,
-      * ascending: the k-th one's in u's list to `uAt(k)` (unless `uAt` is
-      * null) and in v's list to `vAt(k)`. Returns how many there are.
-      */
-    def positions(u: Int, v: Int, uAt: Array[Int], vAt: Array[Int]): Int = {
-      val adj = g.adj
-      val off = g.offsets
-      val uLo = off(u)
-      val du = g.degree(u)
-      val dv = g.degree(v)
-      val stamp = marks.stamp
-      if (u != stamped) {
-        base = marks.fresh(math.max(1, du))
-        var i = 0
-        while (i < du) { stamp(adj(uLo + i)) = base + i; i += 1 }
-        stamped = u
-      }
-      if (dv > du.toLong * GallopRatio) gallop(adj, uLo, du, adj, off(v), dv, uAt, vAt)
-      else {
-        var k = 0
-        var q = off(v)
-        val qHi = q + dv
-        while (q < qHi) {
-          // every stamp at or above base was written by u's stamping
-          val i = stamp(adj(q)) - base
-          if (i >= 0) {
-            if (uAt != null) uAt(k) = uLo + i
-            vAt(k) = q
-            k += 1
-          }
-          q += 1
-        }
-        k
-      }
-    }
-
-    /** The common neighbours of u and v, written to `out` ascending; returns
-      * how many there are.
-      */
-    def commonNeighbors(u: Int, v: Int, out: Array[Int]): Int = {
-      val k = positions(u, v, null, out)
-      atPositions(g.adj, out, k)
-      k
-    }
-
-    /** Returns the stamp array to this thread's free list. */
-    def release(): Unit = Marks.release(marks)
-  }
-
   /** One intersection step of [[commonNeighbors]], with `aLen <= bLen`:
     * writes `a(aLo until aLo+aLen) ∩ b(bLo until bLo+bLen)` into `out` from
     * index 0, ascending, and returns its size. Marks `a` with `tag` and scans
@@ -507,38 +385,12 @@ object Intersect {
     * `a(aLo until aLo+aLen)` and `b(bLo until bLo+bLen)` into `out` from
     * index 0, ascending, and returns its size. `out` may be `a` itself when
     * `aLo == 0` (each write lands at or before the element just read).
-    */
-  def intersect(a: Array[Int], aLo: Int, aLen: Int, b: Array[Int], bLo: Int, bLen: Int, out: Array[Int]): Int = {
-    val k = gallop(a, aLo, aLen, b, bLo, bLen, null, out)
-    atPositions(b, out, k)
-    k
-  }
-
-  /** Replaces each position `at(i)`, i < k, by the entry `vs(at(i))`. */
-  private def atPositions(vs: Array[Int], at: Array[Int], k: Int): Unit = {
-    var i = 0
-    while (i < k) { at(i) = vs(at(i)); i += 1 }
-  }
-
-  /** [[intersect]] by positions: for the k-th common entry, ascending,
-    * writes its index in `a` to `aAt(k)` (unless `aAt` is null) and its
-    * index in `b` to `bAt(k)`, and returns how many there are. `bAt` may be
-    * `a` itself when `aLo == 0` and `aAt` is null.
     *
     * Each element of `a` gallops through `b` (an exponential search from the
     * last position, then a binary search), in O(aLen · (1 + log(bLen / aLen)))
     * total, which is cheap when `a` is much the shorter list.
     */
-  private def gallop(
-      a: Array[Int],
-      aLo: Int,
-      aLen: Int,
-      b: Array[Int],
-      bLo: Int,
-      bLen: Int,
-      aAt: Array[Int],
-      bAt: Array[Int]
-  ): Int = {
+  def intersect(a: Array[Int], aLo: Int, aLen: Int, b: Array[Int], bLo: Int, bLen: Int, out: Array[Int]): Int = {
     val aHi = aLo + aLen
     val bHi = bLo + bLen
     var i = aLo
@@ -558,12 +410,7 @@ object Intersect {
         }
         j = hi
       }
-      if (j < bHi && b(j) == x) {
-        if (aAt != null) aAt(k) = i
-        bAt(k) = j
-        k += 1
-        j += 1
-      }
+      if (j < bHi && b(j) == x) { out(k) = x; k += 1; j += 1 }
       i += 1
     }
     k

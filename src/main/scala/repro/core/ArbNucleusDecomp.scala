@@ -132,7 +132,6 @@ object ArbNucleusDecomp {
         TrussRows.build(edges, numTri, cliqueSlots, table.capacity)
       } else null
     if (truss != null) addRowLengths(truss, table)
-    else if (r == 2 && s == 3) addTriangleCounts(dg, table)
     else if (rows != null) addFourCliqueCounts(rows, cliquesFlat, cliqueSlots, numR, table)
     else
       foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
@@ -226,80 +225,73 @@ object ArbNucleusDecomp {
           }
         }
 
-        // ascending slots of a two-level T come grouped by first vertex: at
-        // r = 2 a block stamps each shared endpoint's list once, and at r = 3
-        // the rows of a shared first vertex lie together
-        if ((r == 2 && truss == null) || rows != null) Par.sortInts(ids, 0, ids.length)
+        // ascending slots of a two-level T come grouped by first vertex, so
+        // the triangle rows of a shared first vertex lie together
+        if (rows != null) Par.sortInts(ids, 0, ids.length)
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
           val subsetSlots = sc.subsetIds
-          val shared = if (r == 2 && truss == null) new Intersect.SharedEndpoint(peelGraph) else null
           val hits = if (rows != null) new Array[Int](3 * math.max(1, rows.maxRow)) else null
           var localDisc = 0L
           var idx = blo
-          try {
-            while (idx < bhi) {
-              val slot = ids(idx)
-              // count(slot) is the number of s-cliques through slot with no
-              // r-subset peeled in an earlier round, and slots peeled this
-              // round are never decremented in it. So at 0 every incident
-              // s-clique would abort: skip UPDATE.
-              val live = table.count(slot) != 0L
-              // contraction notes every peeled edge, count 0 included; the
-              // rows need no vertices
-              if ((live && rows == null && truss == null) || peelable != null) {
-                table.cliqueOf(slot, sc.vsR)
-                if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
-              }
-              if (live) {
-                if (truss != null) {
-                  // triangle (u, v, x): the row holds the slots of ux and vx
-                  val entries = truss.entries
-                  var e = truss.offsets(slot)
-                  val eHi = truss.offsets(slot + 1)
-                  localDisc += eHi - e
-                  subsetSlots(0) = slot
-                  while (e < eHi) {
-                    val other = entries(e)
-                    subsetSlots(1) = (other >>> 32).toInt
-                    subsetSlots(2) = other.toInt
-                    settle(slot, subsetSlots)
-                    e += 1
+          while (idx < bhi) {
+            val slot = ids(idx)
+            // count(slot) is the number of s-cliques through slot with no
+            // r-subset peeled in an earlier round, and slots peeled this
+            // round are never decremented in it. So at 0 every incident
+            // s-clique would abort: skip UPDATE.
+            val live = table.count(slot) != 0L
+            // contraction notes every peeled edge, count 0 included; the
+            // rows need no vertices
+            if ((live && rows == null && truss == null) || peelable != null) {
+              table.cliqueOf(slot, sc.vsR)
+              if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
+            }
+            if (live) {
+              if (truss != null) {
+                // triangle (u, v, x): the row holds the slots of ux and vx
+                val entries = truss.entries
+                var e = truss.offsets(slot)
+                val eHi = truss.offsets(slot + 1)
+                localDisc += eHi - e
+                subsetSlots(0) = slot
+                while (e < eHi) {
+                  val other = entries(e)
+                  subsetSlots(1) = (other >>> 32).toInt
+                  subsetSlots(2) = other.toInt
+                  settle(slot, subsetSlots)
+                  e += 1
+                }
+              } else if (rows != null) {
+                // 4-clique (a, b, c, x): triangles abx, acx and bcx sit
+                // beside x in the rows of ab, ac and bc
+                val k = rows.commonAt(slot, hits)
+                subsetSlots(0) = slot
+                var t = 0
+                while (t < k) {
+                  System.arraycopy(hits, 3 * t, subsetSlots, 1, 3)
+                  settle(slot, subsetSlots)
+                  t += 1
+                }
+                localDisc += k
+              } else {
+                localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
+                  // probe the subsets, stopping at one peeled earlier
+                  var dead = false
+                  var j = 0
+                  while (!dead && j < numSubsets) {
+                    val sl = table.slotOf(sc.subsets(sBuf, j))
+                    subsetSlots(j) = sl
+                    dead = peeledRound(sl) < thisRound
+                    j += 1
                   }
-                } else if (rows != null) {
-                  // 4-clique (a, b, c, x): triangles abx, acx and bcx sit
-                  // beside x in the rows of ab, ac and bc
-                  val k = rows.commonAt(slot, hits)
-                  subsetSlots(0) = slot
-                  var t = 0
-                  while (t < k) {
-                    System.arraycopy(hits, 3 * t, subsetSlots, 1, 3)
-                    settle(slot, subsetSlots)
-                    t += 1
-                  }
-                  localDisc += k
-                } else {
-                  val iLen =
-                    if (shared != null) shared.commonNeighbors(sc.vsR(0), sc.vsR(1), sc.iBuf)
-                    else Intersect.commonNeighbors(peelGraph, sc.vsR, r, sc.iBuf)
-                  localDisc += completeIncident(dg, sc, iLen) { sBuf =>
-                    // probe the subsets, stopping at one peeled earlier
-                    var dead = false
-                    var j = 0
-                    while (!dead && j < numSubsets) {
-                      val sl = table.slotOf(sc.subsets(sBuf, j))
-                      subsetSlots(j) = sl
-                      dead = peeledRound(sl) < thisRound
-                      j += 1
-                    }
-                    if (!dead) settle(slot, subsetSlots)
-                  }
+                  if (!dead) settle(slot, subsetSlots)
                 }
               }
-              idx += 1
             }
-          } finally if (shared != null) shared.release()
+            idx += 1
+          }
           discoveries.add(localDisc)
         }
 
@@ -352,38 +344,9 @@ object ArbNucleusDecomp {
       }
     }
 
-  /** The (2,3) count phase without rows (an unrelabeled graph): adds each
-    * edge's triangle count, from [[RecListCliques.trianglesPerEdge]], to its
-    * slot, with one `slotOf` per DAG edge whose count is not 0. The counts
-    * equal those of adding 1 per r-subset of each s-clique of
-    * [[foreachRSubsetOfScliques]].
-    */
-  private[repro] def addTriangleCounts(dg: DirectedGraph, table: CliqueTable): Unit = {
-    val counts = RecListCliques.trianglesPerEdge(dg)
-    val off = dg.offsets
-    Par.forBlocked(0, dg.n) { (lo, hi) =>
-      val pair = new Array[Int](2)
-      var v = lo
-      while (v < hi) {
-        var p = off(v)
-        while (p < off(v + 1)) {
-          val c = counts.get(p)
-          if (c != 0) {
-            val w = dg.adj(p)
-            pair(0) = math.min(v, w)
-            pair(1) = math.max(v, w)
-            table.addCount(table.slotOf(pair), c.toLong)
-          }
-          p += 1
-        }
-        v += 1
-      }
-    }
-  }
-
   /** The (2,3) count phase on the truss rows: adds each row's length, the
-    * edge's triangle count, to its slot. The counts equal those of
-    * [[addTriangleCounts]].
+    * edge's triangle count, to its slot. The counts equal those of adding 1
+    * per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
     */
   private[repro] def addRowLengths(truss: TrussRows, table: CliqueTable): Unit =
     Par.forBlocked(0, table.capacity, Par.BlockGrain) { (lo, hi) =>
@@ -457,15 +420,10 @@ object ArbNucleusDecomp {
     * each s-clique, vertices sorted ascending, in a reused buffer. Returns
     * the number of s-cliques found (the "s-clique discoveries" work metric).
     */
-  def foreachIncidentSclique(g: Adjacency, dg: DirectedGraph, sc: UpdateScratch)(f: Array[Int] => Unit): Long =
-    completeIncident(dg, sc, Intersect.commonNeighbors(g, sc.vsR, sc.r, sc.iBuf))(f)
-
-  /** [[foreachIncidentSclique]] once the common neighbours of `sc.vsR` are
-    * in `sc.iBuf(0 until iLen)`.
-    */
-  private def completeIncident(dg: DirectedGraph, sc: UpdateScratch, iLen: Int)(f: Array[Int] => Unit): Long = {
+  def foreachIncidentSclique(g: Adjacency, dg: DirectedGraph, sc: UpdateScratch)(f: Array[Int] => Unit): Long = {
     val r = sc.r
     val s = sc.s
+    val iLen = Intersect.commonNeighbors(g, sc.vsR, r, sc.iBuf)
     if (iLen < s - r) return 0L
     System.arraycopy(sc.vsR, 0, sc.cliqueBuf, 0, r)
     var found = 0L
@@ -485,8 +443,8 @@ object ArbNucleusDecomp {
     * triangles. Without `withVertices` it lists the positions alone, for
     * [[TrussRows.build]], and returns null for the triangles.
     *
-    * Root a stamps out(a) with `base + i`, i the index in out(a), as
-    * [[RecListCliques.trianglesPerEdge]] does, so a hit at position q of
+    * Root a stamps out(a) with `base + i`, i the index in out(a), so one
+    * stamp read gives both membership and position: a hit at position q of
     * out(b) gives triangle (a, b, adj(q)) and all three positions. Throws,
     * before concatenating the blocks' buffers, if the rows would not fit
     * ([[TriangleRows.requireFits]]).

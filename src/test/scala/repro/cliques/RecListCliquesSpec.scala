@@ -171,133 +171,9 @@ class RecListCliquesSpec extends SparkSpec {
     assert(marks > 0 && gallops > 0, s"marks=$marks gallops=$gallops")
   }
 
-  /** twoHubGraph with ids reversed, so the hubs are the two highest ids and
-    * an edge (u, v), u < v, often has the much longer list at v.
-    */
+  /** twoHubGraph with ids reversed, so the hubs are the two highest ids. */
   private def highHubGraph(n: Int, seed: Long): CSRGraph =
     twoHubGraph(n, seed).relabel(Array.tabulate(n)(v => n - 1 - v))
-
-  for (contracted <- Seq(false, true); grouped <- Seq(true, false)) {
-    val graph = if (contracted) "a contracted PeelableGraph" else "a CSRGraph"
-    val order = if (grouped) "grouped by first endpoint" else "in random order"
-    test(s"SharedEndpoint gives commonNeighbors' list for every edge, both branches: $graph, edges $order") {
-      val g = highHubGraph(300, 37)
-      val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
-      val adjacency: Adjacency =
-        if (!contracted) g
-        else {
-          val fx = new PeelFixture(g)
-          assert(fx.peel(edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }))
-          fx.pg
-        }
-      val queries = if (grouped) edges else new scala.util.Random(5).shuffle(edges)
-      val shared = new Intersect.SharedEndpoint(adjacency)
-      val (out, expected) = (new Array[Int](g.n), new Array[Int](g.n))
-      var gallops = 0
-      try for ((u, v) <- queries) {
-        val k = shared.commonNeighbors(u, v, out)
-        val e = Intersect.commonNeighbors(adjacency, Array(u, v), 2, expected)
-        assert(out.take(k).toSeq === expected.take(e).toSeq, s"edge ($u, $v)")
-        if (adjacency.degree(v) > 16L * adjacency.degree(u)) gallops += 1
-      } finally shared.release()
-      assert(gallops > 0 && gallops < queries.size, s"gallops=$gallops of ${queries.size}")
-    }
-  }
-
-  /** Checks `shared.positions` on every edge of `queries` against
-    * [[Intersect.commonNeighbors]]: each returned position lies in its
-    * endpoint's live list and holds the k-th common neighbour. Returns how
-    * many edges took the gallop branch.
-    */
-  private def checkPositions(adjacency: Adjacency, shared: Intersect.SharedEndpoint, queries: Seq[(Int, Int)]): Int = {
-    val n = adjacency.n
-    val (uAt, vAt, expected) = (new Array[Int](n), new Array[Int](n), new Array[Int](n))
-    var gallops = 0
-    for ((u, v) <- queries) {
-      val k = shared.positions(u, v, uAt, vAt)
-      val e = Intersect.commonNeighbors(adjacency, Array(u, v), 2, expected)
-      assert(k === e, s"edge ($u, $v)")
-      for ((w, i) <- Seq(u -> uAt, v -> vAt); j <- 0 until k) {
-        val at = i(j)
-        assert(at >= adjacency.offsets(w) && at < adjacency.offsets(w) + adjacency.degree(w), s"edge ($u, $v): position $at")
-        assert(adjacency.adj(at) === expected(j), s"edge ($u, $v): entry $j in $w's list")
-      }
-      if (adjacency.degree(v) > 16L * adjacency.degree(u)) gallops += 1
-    }
-    gallops
-  }
-
-  for (contracted <- Seq(false, true); grouped <- Seq(true, false)) {
-    val graph = if (contracted) "a contracted PeelableGraph" else "a CSRGraph"
-    val order = if (grouped) "grouped by first endpoint" else "in random order"
-    test(s"SharedEndpoint.positions index exactly commonNeighbors' list in both lists, both branches: $graph, edges $order") {
-      val g = highHubGraph(300, 37)
-      val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
-      val adjacency: Adjacency =
-        if (!contracted) g
-        else {
-          val fx = new PeelFixture(g)
-          assert(fx.peel(edges.zipWithIndex.collect { case (e, i) if i % 3 == 0 => e }))
-          fx.pg
-        }
-      val queries = if (grouped) edges else new scala.util.Random(5).shuffle(edges)
-      val shared = new Intersect.SharedEndpoint(adjacency)
-      val gallops = try checkPositions(adjacency, shared, queries) finally shared.release()
-      assert(gallops > 0 && gallops < queries.size, s"gallops=$gallops of ${queries.size}")
-    }
-  }
-
-  test("SharedEndpoint.positions match commonNeighbors across the stamp tag wrap-around") {
-    // each stamp of a first endpoint u reserves max(1, d_u) tags, so
-    // starting 1,000 below the wrap crosses it partway through the edges
-    var failure: Throwable = null
-    val t = new Thread(() =>
-      try Par.withThreads(1) {
-        val g = highHubGraph(300, 37)
-        val edges = for (u <- 0 until g.n; v <- g.neighbors(u) if u < v) yield (u, v)
-        val firsts = edges.map(_._1).distinct
-        val reserved = firsts.map(u => math.max(1L, g.degree(u))).sum
-        assert(reserved > 2000L, s"only $reserved tags reserved")
-        Marks.restartTags(Int.MaxValue - 1000)
-        val shared = new Intersect.SharedEndpoint(g)
-        val gallops = try checkPositions(g, shared, edges) finally shared.release()
-        assert(gallops > 0)
-      } catch { case e: Throwable => failure = e }
-      finally Marks.restartTags(0)
-    )
-    t.start()
-    t.join()
-    if (failure != null) throw failure
-  }
-
-  for (relabel <- Seq(false, true); threads <- Seq(1, 4)) {
-    test(s"(2,3) per-DAG-edge triangle counts equal the per-subset count phase, slot for slot: relabel=$relabel, $threads thread(s)") {
-      // two hubs, a random core, and pendant edges in no triangle; more
-      // than 4 root blocks of RecListCliques.RootGrain vertices
-      val core = highHubGraph(300, 43)
-      val pendants = (0 until 40).map(i => (i, 300 + i))
-      val edges = (for (u <- 0 until 300; v <- core.neighbors(u) if u < v) yield (u, v)) ++ pendants
-      val base = CSRGraph.fromEdges(edges, 340)
-      assert(base.n > 4 * RecListCliques.RootGrain)
-      val (g, dg) = if (relabel) { val (w, d, _) = Orientation.relabelByRank(base); (w, d) } else (base, Orientation.orient(base))
-      val (flat, num) = ArbNucleusDecomp.listSortedCliques(dg, 2, sortNeeded = !relabel, g.n)
-      val perEdge = CliqueTable.build(flat, num, 2, g.n)
-      val perSubset = CliqueTable.build(flat, num, 2, g.n)
-      Par.withThreads(threads) {
-        ArbNucleusDecomp.addTriangleCounts(dg, perEdge)
-        ArbNucleusDecomp.foreachRSubsetOfScliques(dg, 2, 3, sortNeeded = !relabel) { sub =>
-          perSubset.addCount(perSubset.slotOf(sub), 1L)
-        }
-      }
-      val slots = perEdge.occupiedSlots
-      assert(slots.length === num)
-      for (slot <- slots) assert(perEdge.count(slot) === perSubset.count(slot), s"slot $slot")
-      val counts = slots.map(perEdge.count)
-      assert(counts.count(_ == 0L) >= pendants.size, "zero-count edges")
-      assert(counts.max >= 100L, "a hub edge")
-      assert(counts.sum === 3 * RecListCliques.countCliques(dg, 3))
-    }
-  }
 
   for (threads <- Seq(1, 4)) {
     test(s"(2,3) count phase by the slots T reports in DAG order equals the probing one on a relabeled graph: $threads thread(s)") {
@@ -310,11 +186,14 @@ class RecListCliquesSpec extends SparkSpec {
       val probed = CliqueTable.build(flat, num, 2, g.n)
       for (u <- 0 until dg.n; p <- dg.offsets(u) until dg.offsets(u + 1))
         assert(slots(p) === bySlots.slotOf(Array(u, dg.adj(p))), s"DAG edge $p")
-      // the truss rows read the slots T reported for each triangle's edges
+      // the truss rows read the slots T reported for each triangle's edges;
+      // the per-subset count phase probes T for each triangle's edges
       Par.withThreads(threads) {
         val (_, numTri, edges) = ArbNucleusDecomp.listTriangles(dg, withVertices = false)
         ArbNucleusDecomp.addRowLengths(TrussRows.build(edges, numTri, slots, bySlots.capacity), bySlots)
-        ArbNucleusDecomp.addTriangleCounts(dg, probed)
+        ArbNucleusDecomp.foreachRSubsetOfScliques(dg, 2, 3, sortNeeded = false) { sub =>
+          probed.addCount(probed.slotOf(sub), 1L)
+        }
       }
       for (slot <- bySlots.occupiedSlots) assert(bySlots.count(slot) === probed.count(slot), s"slot $slot")
       assert(bySlots.occupiedSlots.map(bySlots.count).sum === 3 * RecListCliques.countCliques(dg, 3))
@@ -507,6 +386,66 @@ class RecListCliquesSpec extends SparkSpec {
     try {
       Marks.restartTags(Int.MaxValue - 3) // the new pool's workers start their arrays here
       Par.withThreads(4)(checkListingAndQueries())
+    } finally Marks.restartTags(0)
+  }
+
+  /** The relabeled `highHubGraph(300, 43)` and its DAG, for the
+    * listTriangles wrap tests.
+    */
+  private lazy val triangleWrapGraph: (CSRGraph, DirectedGraph) = {
+    val (g, dg, _) = Orientation.relabelByRank(highHubGraph(300, 43))
+    (g, dg)
+  }
+
+  /** The tags listTriangles reserves before each root, in root order:
+    * a root of out-degree d >= 2 reserves d.
+    */
+  private def triangleTagPrefix: Seq[Long] = {
+    val dg = triangleWrapGraph._2
+    (0 until dg.n).map(dg.outDegree).filter(_ >= 2).map(_.toLong).scanLeft(0L)(_ + _)
+  }
+
+  /** listTriangles against `listSortedCliques`: the same triangles, and
+    * beside triangle (a, b, c) the positions in `dg.adj` of ab, ac and bc.
+    */
+  private def checkListTriangles(): Unit = {
+    val (g, dg) = triangleWrapGraph
+    val (flat, num, edges) = ArbNucleusDecomp.listTriangles(dg)
+    val (expected, expectedNum) = ArbNucleusDecomp.listSortedCliques(dg, 3, sortNeeded = false, g.n)
+    assert(num === expectedNum)
+    assert(java.util.Arrays.equals(flat, expected))
+    def edgeAt(u: Int, w: Int): Int = dg.offsets(u) + dg.adj.slice(dg.offsets(u), dg.offsets(u + 1)).indexOf(w)
+    for (t <- 0 until num) {
+      val Seq(a, b, c) = flat.slice(3 * t, 3 * t + 3).toSeq
+      assert(edges.slice(3 * t, 3 * t + 3).toSeq === Seq(edgeAt(a, b), edgeAt(a, c), edgeAt(b, c)), s"triangle $t")
+    }
+  }
+
+  test("listTriangles matches listSortedCliques, edge positions included, across the stamp tag wrap-around: 1 thread") {
+    // start the tags so that the first root past 200 reserved tags asks for
+    // one more tag than fit below the wrap: its reservation must restart
+    val prefix = triangleTagPrefix
+    val headroom = prefix.find(_ > 200L).get - 1
+    assert(prefix.last > 2 * headroom, s"only ${prefix.last} tags reserved")
+    var failure: Throwable = null
+    val t = new Thread(() =>
+      try Par.withThreads(1) {
+        Marks.restartTags((Int.MaxValue - headroom).toInt)
+        checkListTriangles()
+      } catch { case e: Throwable => failure = e }
+      finally Marks.restartTags(0)
+    )
+    t.start()
+    t.join()
+    if (failure != null) throw failure
+  }
+
+  test("listTriangles matches listSortedCliques, edge positions included, across the stamp tag wrap-around: 4 threads") {
+    assert(triangleTagPrefix.last > 4 * 200L)
+    try {
+      // the new pool's workers start their arrays 200 tags below the wrap
+      Marks.restartTags(Int.MaxValue - 200)
+      Par.withThreads(4)(checkListTriangles())
     } finally Marks.restartTags(0)
   }
 
