@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.LongAdder
 import repro.cliques.{Intersect, Marks, RecListCliques}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph, TriangleRows, TrussRows}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph, ScliqueRows}
 import repro.par.Par
 
 /** Phase timings and work counters of one decomposition run. */
@@ -19,8 +19,10 @@ final case class NucleusStats(
     tPeelMs: Double,
     tableMemory: TableMemory,
     /** Words of UPDATE's structures beside T, which `tableMemory` leaves
-      * out: the (3,4) triangle rows ([[TriangleRows]]), the (2,3) rows
-      * ([[TrussRows]]) or the r = 2 slot map ([[PeelableGraph.slots]]).
+      * out: the s-clique rows at (2,3) and (3,4) on a relabeled graph
+      * ([[ScliqueRows]]: r · s words per s-clique and one per slot of T,
+      * plus one) or the r = 2 slot map ([[PeelableGraph.slots]]: one word
+      * per CSR entry).
       */
     sideWords: Long = 0L
 ) {
@@ -97,42 +99,28 @@ object ArbNucleusDecomp {
     val tOrient = msSince(t0)
 
     // --- list r-cliques, sorted lexicographically --------------------------
-    // at s = r + 1 on a relabeled graph UPDATE reads per-edge rows, built
-    // from each triangle's edge positions (DESIGN.md substitution 11): at
-    // (3,4) triangle rows, at (2,3) truss rows
-    val withRows = cfg.relabel && r == 3 && s == 4
-    val withTruss = cfg.relabel && r == 2 && s == 3
     t0 = System.nanoTime()
-    val (cliquesFlat, numR, triEdges) =
-      if (withRows) listTriangles(dg)
-      else {
-        val (flat, num) = listSortedCliques(dg, r, sortNeeded = !cfg.relabel, g.n)
-        (flat, num, null)
-      }
+    val (cliquesFlat, numR) = listSortedCliques(dg, r, sortNeeded = !cfg.relabel, g.n)
     val tList = msSince(t0)
 
-    // --- build T (§5.1–5.3), and the triangle rows ---------------------------
+    // --- build T (§5.1–5.3) ----------------------------------------------------
+    // at (2,3) and (3,4) on a relabeled graph UPDATE reads one row of
+    // s-cliques per slot of T (DESIGN.md substitution 11), which replaces
+    // contraction at (2,3)
+    val withRows = cfg.relabel && s == r + 1 && (r == 2 || r == 3)
     t0 = System.nanoTime()
-    // the truss rows replace contraction at (2,3)
-    val contract = cfg.contraction && r == 2 && !withTruss
-    // contraction and the rows read each r-clique's slot as its insert
+    val contract = cfg.contraction && r == 2 && !withRows
+    // contraction and the r = 2 rows read each edge's slot as its insert
     // finds it; on a relabeled graph the r = 2 list phase lists the edges in
     // DAG order, so edge c's slot is the slot of DAG position c
-    val cliqueSlots = if (contract || withRows || withTruss) new Array[Int](numR) else null
+    val cliqueSlots = if (contract || (withRows && r == 2)) new Array[Int](numR) else null
     val table = CliqueTable.build(cliquesFlat, numR, r, workGraph.n, cfg.scheme, cfg.contiguous, cfg.inverse, cliqueSlots)
-    val rows =
-      if (withRows) TriangleRows.build(dg, cliquesFlat, triEdges, cliqueSlots, numR, table.capacity) else null
     val tBuild = msSince(t0)
 
     // --- count s-cliques per r-clique ---------------------------------------
     t0 = System.nanoTime()
-    val truss =
-      if (withTruss) {
-        val (_, numTri, edges) = listTriangles(dg, withVertices = false)
-        TrussRows.build(edges, numTri, cliqueSlots, table.capacity)
-      } else null
-    if (truss != null) addRowLengths(truss, table)
-    else if (rows != null) addFourCliqueCounts(rows, cliquesFlat, cliqueSlots, numR, table)
+    val rows = if (withRows) scliqueRows(dg, r, table, cliqueSlots) else null
+    if (rows != null) addRowLengths(rows, table)
     else
       foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
         table.addCount(table.slotOf(sub), 1L)
@@ -197,15 +185,17 @@ object ArbNucleusDecomp {
       if (finished < numR) {
         agg.beginRound(expected.sum() * math.max(1, numSubsets - 1))
         // the representative of one s-clique found from the peeled `slot`,
-        // with the slots of its C(s,r) r-subsets in `subsetSlots`: nothing if
-        // one was peeled in an earlier round (the s-clique was destroyed
-        // then); else the minimum slot peeled this round is the round's sole
+        // with the slots of its other r-subsets (`slot` itself may be among
+        // them) in `subsetSlots(from until from + len)`: nothing if one was
+        // peeled in an earlier round (the s-clique was destroyed then); else
+        // the minimum slot peeled this round is the round's sole
         // representative (substitute for the paper's 1/a fractions), and it
         // decrements each surviving subset and offers it to the aggregator
-        def settle(slot: Int, subsetSlots: Array[Int]): Unit = {
-          var minA = Int.MaxValue
-          var j = 0
-          while (j < numSubsets) {
+        def settle(slot: Int, subsetSlots: Array[Int], from: Int, len: Int): Unit = {
+          val end = from + len
+          var minA = slot
+          var j = from
+          while (j < end) {
             val sl = subsetSlots(j)
             val pr = peeledRound(sl)
             if (pr < thisRound) return
@@ -213,8 +203,8 @@ object ArbNucleusDecomp {
             j += 1
           }
           if (minA == slot) {
-            j = 0
-            while (j < numSubsets) {
+            j = from
+            while (j < end) {
               val sl = subsetSlots(j)
               if (peeledRound(sl) > thisRound) {
                 table.addCount(sl, -1L)
@@ -225,14 +215,9 @@ object ArbNucleusDecomp {
           }
         }
 
-        // ascending slots of a two-level T come grouped by first vertex, so
-        // the triangle rows of a shared first vertex lie together
-        if (rows != null) Par.sortInts(ids, 0, ids.length)
-
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val sc = new UpdateScratch(r, s, maxDeg)
           val subsetSlots = sc.subsetIds
-          val hits = if (rows != null) new Array[Int](3 * math.max(1, rows.maxRow)) else null
           var localDisc = 0L
           var idx = blo
           while (idx < bhi) {
@@ -244,37 +229,18 @@ object ArbNucleusDecomp {
             val live = table.count(slot) != 0L
             // contraction notes every peeled edge, count 0 included; the
             // rows need no vertices
-            if ((live && rows == null && truss == null) || peelable != null) {
+            if ((live && rows == null) || peelable != null) {
               table.cliqueOf(slot, sc.vsR)
               if (peelable != null) peelable.lose(sc.vsR(0), sc.vsR(1))
             }
             if (live) {
-              if (truss != null) {
-                // triangle (u, v, x): the row holds the slots of ux and vx
-                val entries = truss.entries
-                var e = truss.offsets(slot)
-                val eHi = truss.offsets(slot + 1)
-                localDisc += eHi - e
-                subsetSlots(0) = slot
-                while (e < eHi) {
-                  val other = entries(e)
-                  subsetSlots(1) = (other >>> 32).toInt
-                  subsetSlots(2) = other.toInt
-                  settle(slot, subsetSlots)
-                  e += 1
-                }
-              } else if (rows != null) {
-                // 4-clique (a, b, c, x): triangles abx, acx and bcx sit
-                // beside x in the rows of ab, ac and bc
-                val k = rows.commonAt(slot, hits)
-                subsetSlots(0) = slot
-                var t = 0
-                while (t < k) {
-                  System.arraycopy(hits, 3 * t, subsetSlots, 1, 3)
-                  settle(slot, subsetSlots)
-                  t += 1
-                }
-                localDisc += k
+              if (rows != null) {
+                // one entry per s-clique through slot: its other r-subsets
+                val lo = rows.offsets(slot)
+                val hi = rows.offsets(slot + 1)
+                localDisc += hi - lo
+                var at = r * lo
+                while (at < r * hi) { settle(slot, rows.entries, at, r); at += r }
               } else {
                 localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
                   // probe the subsets, stopping at one peeled earlier
@@ -286,7 +252,7 @@ object ArbNucleusDecomp {
                     dead = peeledRound(sl) < thisRound
                     j += 1
                   }
-                  if (!dead) settle(slot, subsetSlots)
+                  if (!dead) settle(slot, subsetSlots, 0, numSubsets)
                 }
               }
             }
@@ -315,7 +281,6 @@ object ArbNucleusDecomp {
       tableMemory = table.memory,
       sideWords =
         if (rows != null) rows.words
-        else if (truss != null) truss.words
         else if (peelable != null) peelable.slots.length.toLong
         else 0L
     )
@@ -344,60 +309,62 @@ object ArbNucleusDecomp {
       }
     }
 
-  /** The (2,3) count phase on the truss rows: adds each row's length, the
-    * edge's triangle count, to its slot. The counts equal those of adding 1
-    * per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+  /** The rows of the s-cliques, s = r + 1, at r = 2 or 3 on the
+    * rank-relabeled DAG `dg` with clique table `table`
+    * ([[ScliqueRows.build]]). The s subset slots of each s-clique come, at
+    * r = 2, from [[listTriangles]]' edge positions through `edgeSlots`, the
+    * slot of each DAG position; at r = 3, from a 4-clique listing that
+    * probes T once per triangle, as the per-subset count phase does. Throws,
+    * before concatenating the listing's blocks, if the rows would not fit
+    * ([[ScliqueRows.requireFits]]).
     */
-  private[repro] def addRowLengths(truss: TrussRows, table: CliqueTable): Unit =
+  private[repro] def scliqueRows(dg: DirectedGraph, r: Int, table: CliqueTable, edgeSlots: Array[Int]): ScliqueRows = {
+    require(r == 2 || r == 3, s"s-clique rows serve r = 2 and 3, got r = $r")
+    val (subsetSlots, num) =
+      if (r == 2) {
+        val (edges, num) = listTriangles(dg)
+        Par.forBlocked(0, 3 * num, Par.BlockGrain) { (lo, hi) =>
+          var t = lo
+          while (t < hi) { edges(t) = edgeSlots(edges(t)); t += 1 }
+        }
+        (edges, num)
+      } else
+        collectPerRoot(dg, 3) { (roots, buf) =>
+          val subsets = new CliqueSubsets(4, 3)
+          RecListCliques.foreachCliqueFromRoots(dg, 4, roots) { clique =>
+            var j = 0
+            while (j < 4) { buf += table.slotOf(subsets(clique, j)); j += 1 }
+          }
+        }
+    ScliqueRows.build(subsetSlots, num, r, table.capacity)
+  }
+
+  /** Runs `fill` on each block of roots of `dg` in parallel, each block into
+    * its own buffer, writing r + 1 values per (r + 1)-clique, and returns the
+    * buffers concatenated in block order and the number of cliques. Throws,
+    * before concatenating, unless the rows of that many cliques fit
+    * ([[ScliqueRows.requireFits]]).
+    */
+  private def collectPerRoot(dg: DirectedGraph, r: Int)(fill: (Iterator[Int], IntBuffer) => Unit): (Array[Int], Int) = {
+    val blocks = Par.blocksFor(dg.n, RecListCliques.RootGrain)
+    val parts = Array.fill(blocks)(new IntBuffer())
+    Par.forEachBlock(dg.n, blocks)((b, lo, hi) => fill(Iterator.range(lo, hi), parts(b)))
+    val num = parts.map(_.size.toLong).sum / (r + 1)
+    ScliqueRows.requireFits(num, r)
+    (IntBuffer.concat(parts), num.toInt)
+  }
+
+  /** The count phase on the s-clique rows: adds each row's length, the
+    * r-clique's s-clique count, to its slot. The counts equal those of
+    * adding 1 per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+    */
+  private[repro] def addRowLengths(rows: ScliqueRows, table: CliqueTable): Unit =
     Par.forBlocked(0, table.capacity, Par.BlockGrain) { (lo, hi) =>
       var slot = lo
       while (slot < hi) {
-        val k = truss.length(slot)
+        val k = rows.length(slot)
         if (k != 0) table.addCount(slot, k.toLong)
         slot += 1
-      }
-    }
-
-  /** The (3,4) count phase on the triangle rows: each 4-clique
-    * (a, b, c, x), x > c, is found once, from its lexicographically first
-    * triangle (a, b, c), as a vertex above c in the rows of ab, ac and bc,
-    * and adds 1 to the slots of its four triangles. The counts equal those
-    * of adding 1 per r-subset of each s-clique of
-    * [[foreachRSubsetOfScliques]]. `triangles`, `triSlots` and `num` are
-    * the rows' [[TriangleRows.build]] arguments.
-    */
-  private[repro] def addFourCliqueCounts(
-      rows: TriangleRows,
-      triangles: Array[Int],
-      triSlots: Array[Int],
-      num: Int,
-      table: CliqueTable
-  ): Unit =
-    Par.forBlocked(0, num) { (lo, hi) =>
-      val edges = rows.edges
-      val hits = new Array[Int](3 * math.max(1, rows.maxRow))
-      var ab = -1
-      var i = 0 // the first entry of row ab above c
-      var t = lo
-      while (t < hi) {
-        val e1 = edges(3 * t)
-        val e2 = edges(3 * t + 1)
-        val e3 = edges(3 * t + 2)
-        // row ab's part above b lists the triangles (a, b, x) in the order
-        // they come here, so its entries above c start right after (a, b, c)
-        if (e1 == ab) i += 1
-        else {
-          i = if (t == lo) rows.above(e1, triangles(3 * t + 2)) else rows.upper(e1) + 1
-          ab = e1
-        }
-        // rows ac and bc: their parts above their heads
-        val k = rows.commonFrom(i, e1, rows.upper(e2), e2, rows.upper(e3), e3, hits)
-        if (k > 0) {
-          table.addCount(triSlots(t), k.toLong)
-          var h = 0
-          while (h < 3 * k) { table.addCount(hits(h), 1L); h += 1 }
-        }
-        t += 1
       }
     }
 
@@ -436,33 +403,26 @@ object ArbNucleusDecomp {
     found
   }
 
-  /** The r = 3 list phase on a rank-relabeled DAG `dg`: the triangles as
-    * [[listSortedCliques]] lists them, and beside them, three per triangle
-    * (a, b, c), the positions in `dg.adj` of its edges ab, ac and bc, for
-    * [[TriangleRows.build]]. Returns the two arrays and the number of
-    * triangles. Without `withVertices` it lists the positions alone, for
-    * [[TrussRows.build]], and returns null for the triangles.
+  /** The triangles of a rank-relabeled DAG `dg`, three entries each: the
+    * positions in `dg.adj` of the edges ab, ac and bc of triangle
+    * (a, b, c), the triangles in lexicographic order. Returns the positions
+    * and the number of triangles, for the (2,3) rows ([[scliqueRows]]).
     *
     * Root a stamps out(a) with `base + i`, i the index in out(a), so one
     * stamp read gives both membership and position: a hit at position q of
     * out(b) gives triangle (a, b, adj(q)) and all three positions. Throws,
     * before concatenating the blocks' buffers, if the rows would not fit
-    * ([[TriangleRows.requireFits]]).
+    * ([[ScliqueRows.requireFits]]).
     */
-  private[repro] def listTriangles(dg: DirectedGraph, withVertices: Boolean = true): (Array[Int], Int, Array[Int]) = {
+  private[repro] def listTriangles(dg: DirectedGraph): (Array[Int], Int) = {
     val off = dg.offsets
     val adj = dg.adj
-    val blocks = Par.blocksFor(dg.n, RecListCliques.RootGrain)
-    val vertParts = if (withVertices) Array.fill(blocks)(new IntBuffer()) else null
-    val edgeParts = Array.fill(blocks)(new IntBuffer())
-    Par.forEachBlock(dg.n, blocks) { (blk, lo, hi) =>
-      val verts = if (withVertices) vertParts(blk) else null
-      val edges = edgeParts(blk)
+    collectPerRoot(dg, 2) { (roots, out) =>
       val marks = Marks.acquire(dg.n)
       val stamp = marks.stamp
       try {
-        var a = lo
-        while (a < hi) {
+        while (roots.hasNext) {
+          val a = roots.next()
           val aLo = off(a)
           val d = off(a + 1) - aLo
           if (d >= 2) {
@@ -478,13 +438,8 @@ object ArbNucleusDecomp {
                 // every stamp at or above base was written by this root
                 val at = stamp(adj(q)) - base
                 if (at >= 0) {
-                  if (verts != null) {
-                    val v = verts.extend(3)
-                    val va = verts.unsafeArray
-                    va(v) = a; va(v + 1) = b; va(v + 2) = adj(q)
-                  }
-                  val e = edges.extend(3)
-                  val ea = edges.unsafeArray
+                  val e = out.extend(3)
+                  val ea = out.unsafeArray
                   ea(e) = aLo + i; ea(e + 1) = aLo + at; ea(e + 2) = q
                 }
                 q += 1
@@ -492,13 +447,9 @@ object ArbNucleusDecomp {
               i += 1
             }
           }
-          a += 1
         }
       } finally Marks.release(marks)
     }
-    val num = edgeParts.map(_.size.toLong).sum / 3
-    TriangleRows.requireFits(num)
-    (if (withVertices) IntBuffer.concat(vertParts) else null, num.toInt, IntBuffer.concat(edgeParts))
   }
 
   /** Lists all r-cliques into a flattened, lexicographically sorted array.

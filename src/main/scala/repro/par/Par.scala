@@ -19,8 +19,7 @@ import java.util.concurrent.atomic.AtomicReference
   *     contiguous blocks;
   *   - [[Par.scatter]]: a stable counting scatter (per-block histograms, a
   *     prefix, a scatter in block order);
-  *   - [[Par.sortLongs]] / [[Par.sortInts]]: the JDK's parallel sort, run
-  *     in the pool.
+  *   - [[Par.sortLongs]]: the JDK's parallel sort, run in the pool.
   */
 object Par {
 
@@ -152,22 +151,14 @@ object Par {
   private[par] def scatterBlocks(n: Int, buckets: Int): Int =
     math.min(blocksFor(n), math.max(1, n / math.max(1, buckets)))
 
-  /** Sorts `a(lo until hi)` in place with the JDK's parallel sort, run in
-    * [[pool]] so that a [[withThreads]] scope bounds it like every loop.
+  /** Sorts `a(lo until hi)` in place: on one thread with the JDK's sort,
+    * else with its parallel sort run as a task of [[pool]], so that it forks
+    * into the pool rather than the common pool and a [[withThreads]] scope
+    * bounds it like every loop.
     */
-  def sortLongs(a: Array[Long], lo: Int, hi: Int): Unit =
-    inPool(java.util.Arrays.sort(a, lo, hi), java.util.Arrays.parallelSort(a, lo, hi))
-
-  /** [[sortLongs]] for an `Int` array. */
-  def sortInts(a: Array[Int], lo: Int, hi: Int): Unit =
-    inPool(java.util.Arrays.sort(a, lo, hi), java.util.Arrays.parallelSort(a, lo, hi))
-
-  /** Runs `seq` on one thread, else `par` as a task of [[pool]], so that the
-    * JDK's parallel sorts fork into the pool rather than the common pool.
-    */
-  private def inPool(seq: => Unit, par: => Unit): Unit = {
+  def sortLongs(a: Array[Long], lo: Int, hi: Int): Unit = {
     val p = pool
-    if (p.getParallelism <= 1) seq
-    else p.invoke(new RecursiveAction { override def compute(): Unit = par })
+    if (p.getParallelism <= 1) java.util.Arrays.sort(a, lo, hi)
+    else p.invoke(new RecursiveAction { override def compute(): Unit = java.util.Arrays.parallelSort(a, lo, hi) })
   }
 }

@@ -4,7 +4,7 @@ import java.util.concurrent.atomic.AtomicLong
 import repro.SparkSpec
 import repro.baselines.RefNucleus
 import repro.core.{ArbNucleusDecomp, CliqueTable}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, TrussRows}
+import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation}
 import repro.par.Par
 import repro.sparkgen.GraphGen
 import repro.sparkops.EdgeOps
@@ -186,11 +186,10 @@ class RecListCliquesSpec extends SparkSpec {
       val probed = CliqueTable.build(flat, num, 2, g.n)
       for (u <- 0 until dg.n; p <- dg.offsets(u) until dg.offsets(u + 1))
         assert(slots(p) === bySlots.slotOf(Array(u, dg.adj(p))), s"DAG edge $p")
-      // the truss rows read the slots T reported for each triangle's edges;
+      // the (2,3) rows read the slots T reported for each triangle's edges;
       // the per-subset count phase probes T for each triangle's edges
       Par.withThreads(threads) {
-        val (_, numTri, edges) = ArbNucleusDecomp.listTriangles(dg, withVertices = false)
-        ArbNucleusDecomp.addRowLengths(TrussRows.build(edges, numTri, slots, bySlots.capacity), bySlots)
+        ArbNucleusDecomp.addRowLengths(ArbNucleusDecomp.scliqueRows(dg, 2, bySlots, slots), bySlots)
         ArbNucleusDecomp.foreachRSubsetOfScliques(dg, 2, 3, sortNeeded = false) { sub =>
           probed.addCount(probed.slotOf(sub), 1L)
         }
@@ -405,19 +404,25 @@ class RecListCliquesSpec extends SparkSpec {
     (0 until dg.n).map(dg.outDegree).filter(_ >= 2).map(_.toLong).scanLeft(0L)(_ + _)
   }
 
-  /** listTriangles against `listSortedCliques`: the same triangles, and
-    * beside triangle (a, b, c) the positions in `dg.adj` of ab, ac and bc.
+  /** listTriangles against `listSortedCliques`: rebuilt from the positions
+    * in `dg.adj` of its edges ab, ac and bc, each triangle (a, b, c) is the
+    * one `listSortedCliques` lists at the same index, and the positions
+    * agree (ab and ac in out(a), bc in out(b)).
     */
   private def checkListTriangles(): Unit = {
     val (g, dg) = triangleWrapGraph
-    val (flat, num, edges) = ArbNucleusDecomp.listTriangles(dg)
+    val (edges, num) = ArbNucleusDecomp.listTriangles(dg)
     val (expected, expectedNum) = ArbNucleusDecomp.listSortedCliques(dg, 3, sortNeeded = false, g.n)
     assert(num === expectedNum)
-    assert(java.util.Arrays.equals(flat, expected))
-    def edgeAt(u: Int, w: Int): Int = dg.offsets(u) + dg.adj.slice(dg.offsets(u), dg.offsets(u + 1)).indexOf(w)
+    assert(edges.length === 3 * num)
+    // the vertex whose out-list holds each position
+    val tail = new Array[Int](dg.adj.length)
+    for (v <- 0 until dg.n; p <- dg.offsets(v) until dg.offsets(v + 1)) tail(p) = v
     for (t <- 0 until num) {
-      val Seq(a, b, c) = flat.slice(3 * t, 3 * t + 3).toSeq
-      assert(edges.slice(3 * t, 3 * t + 3).toSeq === Seq(edgeAt(a, b), edgeAt(a, c), edgeAt(b, c)), s"triangle $t")
+      val Seq(ab, ac, bc) = edges.slice(3 * t, 3 * t + 3).toSeq
+      val (a, b, c) = (tail(ab), dg.adj(ab), dg.adj(bc))
+      assert(Seq(a, b, c) === expected.slice(3 * t, 3 * t + 3).toSeq, s"triangle $t")
+      assert(tail(ac) === a && dg.adj(ac) === c && tail(bc) === b, s"triangle $t")
     }
   }
 

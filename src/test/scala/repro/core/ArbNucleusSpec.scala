@@ -258,7 +258,7 @@ class ArbNucleusSpec extends SparkSpec {
 
   test("sideWords counts the (3,4) rows and the r = 2 slot map, and tableMemory stays T alone") {
     val g = TestGraphs.randomWithCliques(200, 0.1, Seq(12), 71)
-    val m = g.adj.length // DAG edges at r = 3 rows, CSR entries at r = 2
+    val m = g.adj.length // CSR entries, the r = 2 slot map
     for ((r, s, cfg) <- Seq(
            (3, 4, NucleusConfig.optimal(3, 4, g.n)),
            (2, 3, NucleusConfig.optimal(2, 3, g.n)),
@@ -271,8 +271,8 @@ class ArbNucleusSpec extends SparkSpec {
       val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
       val st = res.stats
       val expected =
-        if (cfg.relabel && r == 3 && s == 4) (m / 2 + 1L) + m / 2 + 9L * st.numRCliques + res.table.capacity
-        else if (cfg.relabel && r == 2 && s == 3) res.table.capacity + 1L + 6L * st.numSCliques // the truss rows
+        if (cfg.relabel && r == 3 && s == 4) res.table.capacity + 1L + 12L * st.numSCliques // the s-clique rows
+        else if (cfg.relabel && r == 2 && s == 3) res.table.capacity + 1L + 6L * st.numSCliques
         else if (cfg.contraction && r == 2) m.toLong
         else 0L
       assert(st.sideWords === expected, s"($r,$s) ${cfg.label}")

@@ -77,16 +77,6 @@ class ParSpec extends SparkSpec {
     }
   }
 
-  test("sortInts sorts exactly [lo, hi) on 1 and 4 threads") {
-    val rnd = new scala.util.Random(3)
-    for (threads <- Seq(1, 4); size <- Seq(0, 10, 50000)) {
-      val a = Array.fill(size + 20)(rnd.nextInt(1000) - 500)
-      val expected = a.take(10) ++ a.slice(10, 10 + size).sorted ++ a.drop(10 + size)
-      Par.withThreads(threads)(Par.sortInts(a, 10, 10 + size))
-      assert(a.toSeq === expected.toSeq, s"$threads thread(s), $size values")
-    }
-  }
-
   test("withThreads(1) executes sequentially but correctly") {
     val acc = new AtomicLong(0)
     Par.withThreads(1) {
