@@ -28,15 +28,13 @@ object And {
 
   def run(g: CSRGraph, r: Int, s: Int, notification: Boolean = false): BaselineResult = {
     val t0 = System.nanoTime()
-    val idx = new CliqueIndex(g, r)
-    val (counts0, _) = idx.countScliques(s)
-    val num = idx.num
-    val theta = new AtomicIntegerArray(num)
-    var i = 0
-    while (i < num) { theta.set(i, counts0(i)); i += 1 }
+    val bt = new BaselineTable(g, r, s)
+    // θ lives in T's counts, which start at the s-clique counts
+    val table = bt.table
+    val occupied = table.occupiedSlots
 
-    val dirty: AtomicIntegerArray = if (notification) new AtomicIntegerArray(num) else null
-    if (notification) { i = 0; while (i < num) { dirty.set(i, 1); i += 1 } }
+    val dirty: AtomicIntegerArray = if (notification) new AtomicIntegerArray(table.capacity) else null
+    if (notification) occupied.foreach(dirty.set(_, 1))
 
     val discoveries = new LongAdder
     val changedAny = new AtomicBoolean(true)
@@ -45,39 +43,37 @@ object And {
     while (changedAny.get()) {
       changedAny.set(false)
       sweeps += 1
-      Par.forBlocked(0, num, grain = 8) { (lo, hi) =>
-        val scratch = idx.newScratch(s)
+      Par.forBlocked(0, occupied.length, grain = 8) { (lo, hi) =>
+        val scratch = bt.newScratch()
         val values = new repro.core.IntBuffer(64)
-        var id = lo
-        while (id < hi) {
-          val process = !notification || dirty.getAndSet(id, 0) == 1
-          if (process && theta.get(id) > 0) {
+        var i = lo
+        while (i < hi) {
+          val slot = occupied(i)
+          val process = !notification || dirty.getAndSet(slot, 0) == 1
+          val cur = table.count(slot)
+          if (process && cur > 0) {
             values.clear()
-            val cur = theta.get(id)
-            val found = idx.foreachIncidentSclique(id, scratch) { subsetIds =>
-              var mn = Int.MaxValue
+            val found = bt.foreachIncidentSclique(slot, scratch) { subsetSlots =>
+              var mn = cur // clamp at cur: h ≤ cur
               var j = 0
-              while (j < subsetIds.length) {
-                val sid = subsetIds(j)
-                if (sid != id) {
-                  val t = theta.get(sid)
-                  if (t < mn) mn = t
-                }
+              while (j < subsetSlots.length) {
+                val t = subsetSlots(j)
+                if (t != slot) mn = math.min(mn, table.count(t))
                 j += 1
               }
-              values += (if (mn > cur) cur else mn) // clamp at cur: h ≤ cur
+              values += mn.toInt
             }
             discoveries.add(found)
-            val h = hIndex(values, cur)
+            val h = hIndex(values, cur.toInt)
             if (h < cur) {
-              theta.set(id, h)
+              table.addCount(slot, h - cur)
               changedAny.set(true)
               if (notification) {
-                // notify all r-cliques sharing an s-clique with id
-                val found2 = idx.foreachIncidentSclique(id, scratch) { subsetIds =>
+                // notify all r-cliques sharing an s-clique with slot
+                val found2 = bt.foreachIncidentSclique(slot, scratch) { subsetSlots =>
                   var j = 0
-                  while (j < subsetIds.length) {
-                    if (subsetIds(j) != id) dirty.set(subsetIds(j), 1)
+                  while (j < subsetSlots.length) {
+                    if (subsetSlots(j) != slot) dirty.set(subsetSlots(j), 1)
                     j += 1
                   }
                 }
@@ -85,15 +81,14 @@ object And {
               }
             }
           }
-          id += 1
+          i += 1
         }
       }
     }
 
-    val core = new Array[Long](num)
-    i = 0
-    while (i < num) { core(i) = theta.get(i).toLong; i += 1 }
-    BaselineResult(idx, core, sweeps, discoveries.sum(), (System.nanoTime() - t0) / 1e6)
+    val core = new Array[Long](table.capacity)
+    occupied.foreach(slot => core(slot) = table.count(slot))
+    BaselineResult(table, core, sweeps, discoveries.sum(), (System.nanoTime() - t0) / 1e6)
   }
 
   /** h-index of `values` (each already clamped to ≤ cap): the largest h

@@ -121,10 +121,7 @@ object ArbNucleusDecomp {
     t0 = System.nanoTime()
     val rows = if (withRows) scliqueRows(dg, r, table, cliqueSlots) else null
     if (rows != null) addRowLengths(rows, table)
-    else
-      foreachRSubsetOfScliques(dg, r, s, sortNeeded = !cfg.relabel) { sub =>
-        table.addCount(table.slotOf(sub), 1L)
-      }
+    else addScliqueCounts(dg, r, s, table, sortNeeded = !cfg.relabel)
     val occupied = table.occupiedSlots
     val sumCounts0 = new LongAdder
     Par.forBlocked(0, occupied.length) { (lo, hi) =>
@@ -289,15 +286,14 @@ object ArbNucleusDecomp {
 
   @inline private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
 
-  /** The count phase's enumeration (Algorithm 2's initial s-clique
-    * counts): lists every s-clique of `dg` in parallel and calls `f` on
-    * each of its C(s,r) r-subsets, vertices sorted ascending, in a reused
-    * per-thread buffer. `sortNeeded` is false when listing already yields
-    * ascending vertices (a rank-relabeled graph).
+  /** The generic count phase (Algorithm 2's initial s-clique counts):
+    * lists every s-clique of `dg` in parallel and adds 1 to the count in
+    * `table` of each of its C(s,r) r-subsets, found by one `slotOf` each.
+    * `sortNeeded` is false when listing already yields ascending vertices
+    * (a rank-relabeled graph). `decompose` runs it wherever it reads no
+    * s-clique rows, and the baselines (ND, PND, AND, AND-NN) always.
     */
-  private[repro] def foreachRSubsetOfScliques(dg: DirectedGraph, r: Int, s: Int, sortNeeded: Boolean)(
-      f: Array[Int] => Unit
-  ): Unit =
+  private[repro] def addScliqueCounts(dg: DirectedGraph, r: Int, s: Int, table: CliqueTable, sortNeeded: Boolean): Unit =
     RecListCliques.foreachClique(dg, s) { () =>
       val sBuf = new Array[Int](s)
       val subsets = new CliqueSubsets(s, r)
@@ -305,7 +301,7 @@ object ArbNucleusDecomp {
         System.arraycopy(clique, 0, sBuf, 0, s)
         if (sortNeeded) Util.insertionSort(sBuf, s)
         var j = 0
-        while (j < subsets.size) { f(subsets(sBuf, j)); j += 1 }
+        while (j < subsets.size) { table.addCount(table.slotOf(subsets(sBuf, j)), 1L); j += 1 }
       }
     }
 
@@ -356,7 +352,7 @@ object ArbNucleusDecomp {
 
   /** The count phase on the s-clique rows: adds each row's length, the
     * r-clique's s-clique count, to its slot. The counts equal those of
-    * adding 1 per r-subset of each s-clique of [[foreachRSubsetOfScliques]].
+    * [[addScliqueCounts]].
     */
   private[repro] def addRowLengths(rows: ScliqueRows, table: CliqueTable): Unit =
     Par.forBlocked(0, table.capacity, Par.BlockGrain) { (lo, hi) =>

@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.core.ArbNucleusDecomp
+import repro.graph.CSRGraph
 import repro.testutil.TestGraphs
 
 /** The reimplemented comparators (ND, PND, AND, AND-NN, PKT) must all agree
@@ -33,7 +34,7 @@ class BaselinesSpec extends SparkSpec {
     test(s"PND and ND agree on cores, rounds and discoveries: $name (r=$r,s=$s)") {
       val nd = Nd.run(g, r, s)
       val pnd = Pnd.run(g, r, s)
-      assert(pnd.core.toSeq === nd.core.toSeq)
+      assert(pnd.coreMap === nd.coreMap)
       assert(pnd.rounds === nd.rounds)
       assert(pnd.discoveries === nd.discoveries)
     }
@@ -66,7 +67,7 @@ class BaselinesSpec extends SparkSpec {
   test("ND peels one clique per round (rounds == #r-cliques)") {
     val g = TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5)
     val res = Nd.run(g, 2, 3)
-    assert(res.rounds === res.index.num.toLong)
+    assert(res.rounds === res.table.numCliques.toLong)
   }
 
   test("PND rounds vastly exceed ARB rounds (paper: 5608-84170x)") {
@@ -94,26 +95,43 @@ class BaselinesSpec extends SparkSpec {
     assert(andNn.coreMap === and.coreMap)
   }
 
-  test("CliqueIndex id lookup roundtrips") {
-    val g = TestGraphs.random(40, 0.25, 1)
-    val idx = new CliqueIndex(g, 3)
-    val buf = new Array[Int](3)
-    for (id <- 0 until idx.num) {
-      idx.vertsOf(id, buf)
-      assert(idx.idOf(buf) === id)
+  test("the shared count phase gives each slot the reference s-cliques through its clique") {
+    val g = TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5)
+    for ((r, s) <- rsValues) {
+      val table = new BaselineTable(g, r, s).table
+      val through = RefNucleus.allCliques(g, s).toSeq
+        .flatMap(_.toSeq.combinations(r))
+        .groupMapReduce(identity)(_ => 1L)(_ + _)
+      val clique = new Array[Int](r)
+      assert(table.numCliques === RefNucleus.allCliques(g, r).length, s"($r,$s)")
+      table.foreachOccupied { slot =>
+        table.cliqueOf(slot, clique)
+        assert(table.count(slot) === through.getOrElse(clique.toSeq, 0L), s"($r,$s) ${clique.toSeq}")
+      }
     }
-    assert(idx.idOf(Array(0, 1, 2)) === -1 ||
-      RefNucleus.allCliques(g, 3).exists(_.toSeq == Seq(0, 1, 2)))
   }
 
-  test("CliqueIndex counts match reference incidence") {
-    val g = TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5)
-    val idx = new CliqueIndex(g, 2)
-    val (counts, numS) = idx.countScliques(3)
-    val ref = RefNucleus.allCliques(g, 3)
-    assert(numS === ref.length.toLong)
-    // spot-check: sum of counts = 3 * #triangles
-    assert(counts.map(_.toLong).sum === 3L * ref.length)
+  test("BaselineResult's dense view lists every clique once with its core") {
+    val res = Nd.run(TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5), 3, 4)
+    val buf = new Array[Int](3)
+    val dense = (0 until res.index.num).map { id => res.index.vertsOf(id, buf); buf.toSeq -> res.core(id) }
+    assert(res.index.r === 3)
+    assert(dense.size === res.table.numCliques)
+    assert(dense.toMap === res.coreMap)
+  }
+
+  private val wideBaselines: Seq[(String, (CSRGraph, Int, Int) => BaselineResult)] = Seq(
+    "ND" -> Nd.run, "PND" -> Pnd.run, "AND" -> ((g, r, s) => And.run(g, r, s)), "AND-NN" -> AndNn.run)
+
+  for ((name, run) <- wideBaselines; (r, s) <- Seq((4, 5), (5, 6))) {
+    test(s"$name matches RefNucleus when r ids do not fit one 64-bit key: ($r,$s)") {
+      val got = run(TestGraphs.plantedK7Wide, r, s).coreMap.map { case (vs, k) =>
+        vs.map(_ / TestGraphs.WideFactor) -> k
+      }
+      val ref = RefNucleus.decompose(TestGraphs.plantedK7, r, s).coreMap
+      assert(ref.nonEmpty)
+      assert(got === ref)
+    }
   }
 
   test("baseline maxCore equals ARB maxCore") {

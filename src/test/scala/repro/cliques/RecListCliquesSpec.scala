@@ -190,9 +190,7 @@ class RecListCliquesSpec extends SparkSpec {
       // the per-subset count phase probes T for each triangle's edges
       Par.withThreads(threads) {
         ArbNucleusDecomp.addRowLengths(ArbNucleusDecomp.scliqueRows(dg, 2, bySlots, slots), bySlots)
-        ArbNucleusDecomp.foreachRSubsetOfScliques(dg, 2, 3, sortNeeded = false) { sub =>
-          probed.addCount(probed.slotOf(sub), 1L)
-        }
+        ArbNucleusDecomp.addScliqueCounts(dg, 2, 3, probed, sortNeeded = false)
       }
       for (slot <- bySlots.occupiedSlots) assert(bySlots.count(slot) === probed.count(slot), s"slot $slot")
       assert(bySlots.occupiedSlots.map(bySlots.count).sum === 3 * RecListCliques.countCliques(dg, 3))

@@ -80,9 +80,7 @@ abstract class ScliqueRowsSpec(r: Int) extends SparkSpec {
         val perSubset = CliqueTable.build(flat, num, r, wg.n)
         Par.withThreads(threads) {
           ArbNucleusDecomp.addRowLengths(rows, table)
-          ArbNucleusDecomp.foreachRSubsetOfScliques(dg, r, s, sortNeeded = false) { sub =>
-            perSubset.addCount(perSubset.slotOf(sub), 1L)
-          }
+          ArbNucleusDecomp.addScliqueCounts(dg, r, s, perSubset, sortNeeded = false)
         }
         val clique = new Array[Int](r)
         for (slot <- table.occupiedSlots) {
