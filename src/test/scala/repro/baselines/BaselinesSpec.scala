@@ -111,6 +111,17 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  // the name is that of the sorted-key index this count phase replaced
+  test("CliqueIndex counts match reference incidence") {
+    val g = TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5)
+    val table = new BaselineTable(g, 2, 3).table
+    val ref = RefNucleus.allCliques(g, 3)
+    var sum = 0L
+    table.foreachOccupied { slot => sum += table.count(slot) }
+    // each triangle is counted once by each of its 3 edges
+    assert(sum === 3L * ref.length)
+  }
+
   test("BaselineResult's dense view lists every clique once with its core") {
     val res = Nd.run(TestGraphs.randomWithCliques(40, 0.15, Seq(6), 5), 3, 4)
     val buf = new Array[Int](3)
