@@ -19,7 +19,7 @@ final case class NucleusStats(
     tPeelMs: Double,
     tableMemory: TableMemory,
     /** Words of UPDATE's structures beside T, which `tableMemory` leaves
-      * out: the s-clique rows at (2,3) and (3,4) on a relabeled graph
+      * out: the s-clique rows at s = r + 1 on a relabeled graph
       * ([[ScliqueRows]]: r · s words per s-clique and one per slot of T,
       * plus one) or the r = 2 slot map ([[PeelableGraph.slots]]: one word
       * per CSR entry).
@@ -104,10 +104,10 @@ object ArbNucleusDecomp {
     val tList = msSince(t0)
 
     // --- build T (§5.1–5.3) ----------------------------------------------------
-    // at (2,3) and (3,4) on a relabeled graph UPDATE reads one row of
-    // s-cliques per slot of T (DESIGN.md substitution 11), which replaces
-    // contraction at (2,3)
-    val withRows = cfg.relabel && s == r + 1 && (r == 2 || r == 3)
+    // at s = r + 1 on a relabeled graph UPDATE reads one row of s-cliques
+    // per slot of T (DESIGN.md substitution 11), which replaces contraction
+    // at (2,3)
+    val withRows = cfg.relabel && s == r + 1
     t0 = System.nanoTime()
     val contract = cfg.contraction && r == 2 && !withRows
     // contraction and the r = 2 rows read each edge's slot as its insert
@@ -213,8 +213,8 @@ object ArbNucleusDecomp {
         }
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
-          val sc = new UpdateScratch(r, s, maxDeg)
-          val subsetSlots = sc.subsetIds
+          // read by the intersecting UPDATE and contraction, not by the rows
+          val sc = if (rows == null) new UpdateScratch(r, s, maxDeg) else null
           var localDisc = 0L
           var idx = blo
           while (idx < bhi) {
@@ -239,6 +239,7 @@ object ArbNucleusDecomp {
                 var at = r * lo
                 while (at < r * hi) { settle(slot, rows.entries, at, r); at += r }
               } else {
+                val subsetSlots = sc.subsetIds
                 localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
                   // probe the subsets, stopping at one peeled earlier
                   var dead = false
@@ -305,17 +306,15 @@ object ArbNucleusDecomp {
       }
     }
 
-  /** The rows of the s-cliques, s = r + 1, at r = 2 or 3 on the
-    * rank-relabeled DAG `dg` with clique table `table`
-    * ([[ScliqueRows.build]]). The s subset slots of each s-clique come, at
-    * r = 2, from [[listTriangles]]' edge positions through `edgeSlots`, the
-    * slot of each DAG position; at r = 3, from a 4-clique listing that
-    * probes T once per triangle, as the per-subset count phase does. Throws,
-    * before concatenating the listing's blocks, if the rows would not fit
-    * ([[ScliqueRows.requireFits]]).
+  /** The rows of the s-cliques, s = r + 1, on the rank-relabeled DAG `dg`
+    * with clique table `table` ([[ScliqueRows.build]]). The s subset slots
+    * of each s-clique come, at r = 2, from [[listTriangles]]' edge positions
+    * through `edgeSlots`, the slot of each DAG position; at every other r,
+    * from an s-clique listing that probes T once per r-subset, as the
+    * per-subset count phase does. Throws, before concatenating the listing's
+    * blocks, if the rows would not fit ([[ScliqueRows.requireFits]]).
     */
   private[repro] def scliqueRows(dg: DirectedGraph, r: Int, table: CliqueTable, edgeSlots: Array[Int]): ScliqueRows = {
-    require(r == 2 || r == 3, s"s-clique rows serve r = 2 and 3, got r = $r")
     val (subsetSlots, num) =
       if (r == 2) {
         val (edges, num) = listTriangles(dg)
@@ -325,11 +324,11 @@ object ArbNucleusDecomp {
         }
         (edges, num)
       } else
-        collectPerRoot(dg, 3) { (roots, buf) =>
-          val subsets = new CliqueSubsets(4, 3)
-          RecListCliques.foreachCliqueFromRoots(dg, 4, roots) { clique =>
+        collectPerRoot(dg, r) { (roots, buf) =>
+          val subsets = new CliqueSubsets(r + 1, r)
+          RecListCliques.foreachCliqueFromRoots(dg, r + 1, roots) { clique =>
             var j = 0
-            while (j < 4) { buf += table.slotOf(subsets(clique, j)); j += 1 }
+            while (j <= r) { buf += table.slotOf(subsets(clique, j)); j += 1 }
           }
         }
     ScliqueRows.build(subsetSlots, num, r, table.capacity)

@@ -2,10 +2,10 @@ package repro.graph
 
 import repro.par.Par
 
-/** UPDATE's input at s = r + 1, for (2,3) and (3,4), on a rank-relabeled
-  * graph (DESIGN.md substitution 11): one row per slot of the clique table
-  * T. Row `slot` holds one entry per s-clique through that r-clique: the
-  * slots of the s-clique's other r r-subsets, stored as r consecutive `Int`s.
+/** UPDATE's input at every s = r + 1 on a rank-relabeled graph (DESIGN.md
+  * substitution 11): one row per slot of the clique table T. Row `slot`
+  * holds one entry per s-clique through that r-clique: the slots of the
+  * s-clique's other r r-subsets, stored as r consecutive `Int`s.
   * Entry i, for i in `offsets(slot) until offsets(slot + 1)`, is
   * `entries(r · i until r · i + r)`.
   *

@@ -256,7 +256,7 @@ class ArbNucleusSpec extends SparkSpec {
     assert(rows.stats.updateScliqueDiscoveries > 0L)
   }
 
-  test("sideWords counts the (3,4) rows and the r = 2 slot map, and tableMemory stays T alone") {
+  test("sideWords counts the s-clique rows at every relabeled s = r + 1 and the r = 2 slot map elsewhere, and tableMemory stays T alone") {
     val g = TestGraphs.randomWithCliques(200, 0.1, Seq(12), 71)
     val m = g.adj.length // CSR entries, the r = 2 slot map
     for ((r, s, cfg) <- Seq(
@@ -266,13 +266,15 @@ class ArbNucleusSpec extends SparkSpec {
            (2, 4, NucleusConfig.optimal(2, 4, g.n)),
            (3, 4, NucleusConfig.optimal(3, 4, g.n).copy(relabel = false)),
            (3, 5, NucleusConfig.optimal(3, 5, g.n)),
+           (4, 5, NucleusConfig.optimal(4, 5, g.n)),
+           (4, 5, NucleusConfig.optimal(4, 5, g.n).copy(relabel = false)),
+           (1, 2, NucleusConfig.optimal(1, 2, g.n)),
            (2, 3, NucleusConfig.unoptimized)
          )) {
       val res = ArbNucleusDecomp.decompose(g, r, s, cfg)
       val st = res.stats
       val expected =
-        if (cfg.relabel && r == 3 && s == 4) res.table.capacity + 1L + 12L * st.numSCliques // the s-clique rows
-        else if (cfg.relabel && r == 2 && s == 3) res.table.capacity + 1L + 6L * st.numSCliques
+        if (cfg.relabel && s == r + 1) res.table.capacity + 1L + r.toLong * s * st.numSCliques // the s-clique rows
         else if (cfg.contraction && r == 2) m.toLong
         else 0L
       assert(st.sideWords === expected, s"($r,$s) ${cfg.label}")

@@ -8,9 +8,10 @@ import repro.testutil.TestGraphs
 
 /** The s-clique rows at one (r, r + 1), and the count phase and UPDATE on
   * them, against brute force, across thread counts, against the per-subset
-  * count phase and against the intersecting UPDATE. [[TrussRowsSpec]] runs
-  * it at (2,3) and [[TriangleRowsSpec]] at (3,4), each naming the row, count
-  * and limit tests in its own terms.
+  * count phase and against the intersecting UPDATE. [[VertexRowsSpec]] runs
+  * it at (1,2), [[TrussRowsSpec]] at (2,3), [[TriangleRowsSpec]] at (3,4),
+  * [[FourCliqueRowsSpec]] at (4,5) and [[FiveCliqueRowsSpec]] at (5,6), each
+  * naming the row, count and limit tests in its own terms.
   */
 abstract class ScliqueRowsSpec(r: Int) extends SparkSpec {
 
