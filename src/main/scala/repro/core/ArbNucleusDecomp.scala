@@ -75,7 +75,7 @@ final class NucleusResult(
   * simultaneously peeled r-subsets of the s-clique), the peeled subset with
   * the minimum slot performs the full −1 decrement. Both schemes enumerate
   * the peeled subsets anyway (the paper's line 7 computes a), end-of-round
-  * counts are identical, and integer atomics avoid floating-point hazards.
+  * counts are identical, and integer counts avoid floating-point hazards.
   * A second one: UPDATE skips a peeled r-clique whose count is 0, because
   * every s-clique it would find was already destroyed in an earlier round.
   * See DESIGN.md "Fidelity substitutions".
@@ -136,19 +136,25 @@ object ArbNucleusDecomp {
 
     // --- peel ----------------------------------------------------------------
     t0 = System.nanoTime()
-    val capacity = table.capacity
-    val core = new Array[Long](math.max(1, capacity))
+    val capacity = math.max(1, table.capacity)
     // Int.MaxValue = alive; otherwise the round in which the slot was peeled
-    val peeledRound = new Array[Int](math.max(1, capacity))
-    Par.forBlocked(0, core.length) { (lo, hi) =>
-      java.util.Arrays.fill(core, lo, hi, -1L)
-      java.util.Arrays.fill(peeledRound, lo, hi, Int.MaxValue)
-    }
+    val peeledRound = new Array[Int](capacity)
+    Par.forBlocked(0, capacity)((lo, hi) => java.util.Arrays.fill(peeledRound, lo, hi, Int.MaxValue))
+    // k of each round; core(slot) is filled from it once the peel ends
+    val roundK = Array.newBuilder[Long]
 
-    val buckets = new Bucketing(math.max(1, capacity))
+    val buckets = new Bucketing(capacity)
     buckets.insertAll(occupied)(table.count)
 
-    val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
+    // UPDATE's decrements: on the rows, logged with one part per UPDATE
+    // block (no round has more blocks than one peeling every slot) and
+    // applied by slot range (DESIGN.md substitution 12); elsewhere atomic,
+    // with U from the aggregator
+    val log = if (rows != null) new DecrementLog(table, Par.blocksFor(capacity, UpdateGrain)) else null
+    val agg = if (rows == null) UpdateAggregator(cfg.aggregation, capacity) else null
+    // only the hash-table aggregator sizes its round from the peeled counts
+    val countSum: Int => Long =
+      if (agg != null && cfg.aggregation == UpdateAggregator.HashTableKind) table.count else null
     val peelable: PeelableGraph =
       if (contract) new PeelableGraph(workGraph, cliquesFlat, cliqueSlots, peeledRound) else null
     val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
@@ -159,36 +165,26 @@ object ArbNucleusDecomp {
     var finished = 0L
     var round = 0
     while (finished < numR) {
-      val nb = buckets.nextBucket()
+      val thisRound = round + 1
+      // the pack marks peeledRound for the ids it extracts
+      val nb = buckets.nextBucket(thisRound, peeledRound, countSum)
       if (nb == null)
         throw new IllegalStateException(s"bucketing exhausted with ${numR - finished} of $numR r-cliques unpeeled")
-      val (k, ids) = nb
-      round += 1
-      val thisRound = round
-      val expected = new LongAdder
-      Par.forBlocked(0, ids.length) { (blo, bhi) =>
-        var sum = 0L
-        var i = blo
-        while (i < bhi) {
-          val slot = ids(i)
-          core(slot) = k
-          peeledRound(slot) = thisRound
-          sum += table.count(slot)
-          i += 1
-        }
-        expected.add(sum)
-      }
+      val ids = nb.ids
+      round = thisRound
+      roundK += nb.value
       finished += ids.length
       if (finished < numR) {
-        agg.beginRound(expected.sum() * math.max(1, numSubsets - 1))
+        if (agg != null) agg.beginRound(nb.countSum * math.max(1, numSubsets - 1))
         // the representative of one s-clique found from the peeled `slot`,
         // with the slots of its other r-subsets (`slot` itself may be among
         // them) in `subsetSlots(from until from + len)`: nothing if one was
         // peeled in an earlier round (the s-clique was destroyed then); else
         // the minimum slot peeled this round is the round's sole
         // representative (substitute for the paper's 1/a fractions), and it
-        // decrements each surviving subset and offers it to the aggregator
-        def settle(slot: Int, subsetSlots: Array[Int], from: Int, len: Int): Unit = {
+        // decrements each surviving subset: into the block's `out` log on
+        // the rows, else atomically, offering the subset to the aggregator
+        def settle(slot: Int, subsetSlots: Array[Int], from: Int, len: Int, out: IntBuffer): Unit = {
           val end = from + len
           var minA = slot
           var j = from
@@ -204,17 +200,21 @@ object ArbNucleusDecomp {
             while (j < end) {
               val sl = subsetSlots(j)
               if (peeledRound(sl) > thisRound) {
-                table.addCount(sl, -1L)
-                agg.offer(sl)
+                if (out != null) out += sl
+                else {
+                  table.addCount(sl, -1L)
+                  agg.offer(sl)
+                }
               }
               j += 1
             }
           }
         }
 
-        Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
+        Par.forEachBlock(ids.length, Par.blocksFor(ids.length, UpdateGrain)) { (b, blo, bhi) =>
           // read by the intersecting UPDATE and contraction, not by the rows
           val sc = if (rows == null) new UpdateScratch(r, s, maxDeg) else null
+          val out = if (log != null) log.part(b) else null
           var localDisc = 0L
           var idx = blo
           while (idx < bhi) {
@@ -237,7 +237,7 @@ object ArbNucleusDecomp {
                 val hi = rows.offsets(slot + 1)
                 localDisc += hi - lo
                 var at = r * lo
-                while (at < r * hi) { settle(slot, rows.entries, at, r); at += r }
+                while (at < r * hi) { settle(slot, rows.entries, at, r, out); at += r }
               } else {
                 val subsetSlots = sc.subsetIds
                 localDisc += foreachIncidentSclique(peelGraph, dg, sc) { sBuf =>
@@ -250,7 +250,7 @@ object ArbNucleusDecomp {
                     dead = peeledRound(sl) < thisRound
                     j += 1
                   }
-                  if (!dead) settle(slot, subsetSlots, 0, numSubsets)
+                  if (!dead) settle(slot, subsetSlots, 0, numSubsets, null)
                 }
               }
             }
@@ -259,8 +259,18 @@ object ArbNucleusDecomp {
           discoveries.add(localDisc)
         }
 
-        buckets.updateAll(agg.drain())(table.count)
+        buckets.updateAll(if (log != null) log.apply() else agg.drain())(table.count)
         if (peelable != null) peelable.notePeeled(ids.length)
+      }
+    }
+    val kOf = roundK.result()
+    val core = new Array[Long](capacity)
+    Par.forBlocked(0, capacity, Par.BlockGrain) { (lo, hi) =>
+      var slot = lo
+      while (slot < hi) {
+        val pr = peeledRound(slot)
+        core(slot) = if (pr == Int.MaxValue) -1L else kOf(pr - 1)
+        slot += 1
       }
     }
     val tPeel = msSince(t0)
@@ -284,6 +294,11 @@ object ArbNucleusDecomp {
     )
     new NucleusResult(r, s, table, core, oldOf, stats)
   }
+
+  /** Peeled r-cliques per UPDATE block: small, as one r-clique's s-cliques
+    * can be many.
+    */
+  private final val UpdateGrain = 4
 
   @inline private def msSince(t0: Long): Double = (System.nanoTime() - t0) / 1e6
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.LongAdder
 import repro.par.Par
 
 /** Julienne-style bucketing structure (Dhulipala et al. [20], paper §3/§5.3).
@@ -118,24 +119,43 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
     * null when the structure is empty. Extracted ids are marked peeled.
     */
   def nextBucket(): (Long, Array[Int]) = {
+    val b = nextBucket(0, null, null)
+    if (b == null) null else (b.value, b.ids)
+  }
+
+  /** [[nextBucket]] that also marks the extracted ids in the same parallel
+    * pack, as Julienne's extract does: it sets `peeledRound(id) = round` for
+    * each of them (unless `peeledRound` is null) and, if `count` is not
+    * null, returns the sum of `count(id)` over them. Returns null when the
+    * structure is empty.
+    */
+  def nextBucket(round: Int, peeledRound: Array[Int], count: Int => Long): Bucketing.Extracted = {
     while (live > 0) {
       while (cursor < window) {
         val l = lists(cursor)
         if (!l.isEmpty) {
           val value = lo + cursor
           val arr = l.unsafeArray
+          val countSum = new LongAdder
           val out = IntBuffer.collectBlocks(l.size) { (blo, bhi, part) =>
+            var sum = 0L
             var i = blo
             while (i < bhi) {
               val id = arr(i)
-              if (bucketOf(id) == value) { part += id; bucketOf(id) = -1L }
+              if (bucketOf(id) == value) {
+                part += id
+                bucketOf(id) = -1L
+                if (peeledRound != null) peeledRound(id) = round
+                if (count != null) sum += count(id)
+              }
               i += 1
             }
+            if (sum != 0L) countSum.add(sum)
           }
           l.clear()
           if (out.length > 0) {
             live -= out.length
-            return (value, out)
+            return Bucketing.Extracted(value, out, countSum.sum())
           }
         } else cursor += 1
         // a non-empty list that yielded nothing (all stale) loops again and
@@ -180,4 +200,12 @@ final class Bucketing(val capacity: Int, window: Int = 128) {
       if (v < 0) -1 else listOf(v)
     }
   }
+}
+
+object Bucketing {
+
+  /** One extracted bucket: its value, its ids in list order and, when
+    * asked for, the sum of their counts.
+    */
+  final case class Extracted(value: Long, ids: Array[Int], countSum: Long)
 }

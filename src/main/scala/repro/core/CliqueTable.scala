@@ -170,6 +170,12 @@ final class CliqueTable private (
   def count(slot: Int): Long = counts.get(slot)
   def addCount(slot: Int, delta: Long): Long = counts.addAndGet(slot, delta)
 
+  /** Subtracts 1 from `slot`'s count with a plain read and write, not an
+    * atomic one: only for a caller that alone accesses `slot` during a
+    * parallel pass ([[DecrementLog]]); the pass's join publishes the write.
+    */
+  private[core] def decrementOwned(slot: Int): Unit = counts.setPlain(slot, counts.getPlain(slot) - 1L)
+
   /** Calls `f` on every occupied slot, ascending, on the calling thread. */
   def foreachOccupied(f: Int => Unit): Unit = {
     val slots = occupiedSlots

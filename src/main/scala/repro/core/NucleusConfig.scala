@@ -43,9 +43,10 @@ object NucleusConfig {
 
   /** The optimal settings, one configuration for every (r,s): two-level T
     * with contiguous space and stored pointers (§6.2), relabeling,
-    * list-buffer aggregation and graph contraction (which `decompose`
-    * applies at r = 2 off the s-clique rows, so at (2, s ≥ 4) here: the
-    * relabeled (2,3) run reads rows and contracts nothing). Falls back to
+    * list-buffer aggregation and graph contraction. `decompose` applies
+    * both only off the s-clique rows, so at s > r + 1 here (contraction at
+    * r = 2 only): at s = r + 1 UPDATE reads rows and applies a decrement
+    * log instead (DESIGN.md substitution 12). Falls back to
     * the smallest feasible multi-level table when two-level keys do not
     * fit (large r). The paper picks no relabeling + hash table for (2,3);
     * on 4 threads that ran within noise of this setting, so it is an

@@ -124,17 +124,19 @@ final class ListBufferAggregator(capacity: Int) extends UpdateAggregator {
     st.pos += 1
   }
 
-  def drain(): Array[Int] = {
-    val hi = math.min(u.length, nextBlock.get())
-    val out = new IntBuffer(math.max(16, hi / 2))
-    var i = 0
-    while (i < hi) {
-      val v = u(i)
-      if (v >= 0) { out += v; u(i) = -1 }
-      i += 1
+  /** Scans the allocated region in parallel blocks of at least
+    * [[Par.BlockGrain]] cells, resetting each cell it reads; the slots come
+    * out in cell order, as a sequential scan would give them.
+    */
+  def drain(): Array[Int] =
+    IntBuffer.collectBlocks(math.min(u.length, nextBlock.get())) { (lo, hi, part) =>
+      var i = lo
+      while (i < hi) {
+        val v = u(i)
+        if (v >= 0) { part += v; u(i) = -1 }
+        i += 1
+      }
     }
-    out.toArray
-  }
 }
 
 object ListBufferAggregator {

@@ -54,8 +54,9 @@ object IntBuffer {
     concat(parts)
   }
 
-  /** The buffers `parts` concatenated in order, copied in parallel. Throws
-    * if they hold more than an `Int` array can.
+  /** The buffers `parts` concatenated in order, copied in parallel unless
+    * they hold at most [[Par.BlockGrain]] values. Throws if they hold more
+    * than an `Int` array can.
     */
   def concat(parts: Array[IntBuffer]): Array[Int] = {
     val blocks = parts.length
@@ -64,7 +65,7 @@ object IntBuffer {
     while (b < blocks) { starts(b + 1) = starts(b) + parts(b).size; b += 1 }
     require(starts(blocks) <= Int.MaxValue, s"${starts(blocks)} values in $blocks blocks exceed an Int array")
     val out = new Array[Int](starts(blocks).toInt)
-    Par.forRange(0, blocks, grain = 1) { i =>
+    Par.forRange(0, blocks, grain = if (out.length <= Par.BlockGrain) blocks else 1) { i =>
       System.arraycopy(parts(i).arr, 0, out, starts(i).toInt, parts(i).size)
     }
     out

@@ -197,7 +197,7 @@ object Tables {
         val g = graph(spark, name)
         val (arb, arbMs) = timeMs(reps = 2)(ArbNucleusDecomp.decompose(g, r, s))
         val (seqRes, seqMs) = timeMs(reps = 1)(Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s)))
-        require(seqRes.maxCore == arb.maxCore, "1-thread run diverged")
+        require(seqRes.coreMap == arb.coreMap, s"1-thread run diverged on $name")
         def guarded[A](body: => (A, Double)): Option[(A, Double)] =
           if (arbMs > baselineBudgetMs / 20) None // baselines ~20x slower: skip like the paper's OOM/timeouts
           else Some(body)

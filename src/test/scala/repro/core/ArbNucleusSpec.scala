@@ -245,6 +245,20 @@ class ArbNucleusSpec extends SparkSpec {
     }
   }
 
+  // the rows' decrement log and the marking extract: U, and so the bucket
+  // lists, must not depend on the thread count
+  for ((name, g) <- TestGraphs.suite :+ ("bench-scale" -> benchGraph34); (r, s) <- Seq((2, 3), (3, 4), (4, 5))) {
+    test(s"relabeled ($r,$s) on the rows, $name: 1 thread and 4 threads give identical per-slot cores, rounds and discoveries") {
+      val cfg = NucleusConfig.optimal(r, s, g.n)
+      val one = repro.par.Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s, cfg))
+      val four = repro.par.Par.withThreads(4)(ArbNucleusDecomp.decompose(g, r, s, cfg))
+      assert(java.util.Arrays.equals(one.core, four.core))
+      assert(one.stats.rounds === four.stats.rounds)
+      assert(one.stats.updateScliqueDiscoveries === four.stats.updateScliqueDiscoveries)
+      assert(one.stats.numSCliques === four.stats.numSCliques)
+    }
+  }
+
   test("bench-scale (3,4): the row kernel (relabel on) and the generic UPDATE (relabel off) give identical cores, rounds and work counters") {
     val cfg = NucleusConfig.optimal(3, 4, benchGraph34.n)
     val rows = ArbNucleusDecomp.decompose(benchGraph34, 3, 4, cfg)

@@ -108,6 +108,60 @@ class BucketingSpec extends SparkSpec {
     assert(b.nextBucket() === null)
   }
 
+  test("the marking extract marks exactly the ids it returns and sums their counts; stale entries and moved ids stay unmarked") {
+    val b = new Bucketing(10)
+    for (i <- 0 until 10) b.insert(i, 5L)
+    // 0 and 1 move to bucket 2, 2 to bucket 3: stale entries stay in bucket 5
+    b.updateAll(Array(0, 1, 2))(i => if (i == 2) 3L else 2L)
+    val peeledRound = Array.fill(10)(Int.MaxValue)
+    val count: Int => Long = i => 10L * i + 1
+    def marked(round: Int): Seq[Int] = (0 until 10).filter(peeledRound(_) == round)
+
+    val e1 = b.nextBucket(1, peeledRound, count)
+    assert(e1.value === 2L && e1.ids.sorted.toSeq === Seq(0, 1))
+    assert(marked(1) === Seq(0, 1))
+    assert(marked(Int.MaxValue) === (2 until 10), "the moved id 2 and bucket 5 stay unmarked")
+    assert(e1.countSum === 1L + 11L)
+
+    val e2 = b.nextBucket(2, peeledRound, count)
+    assert(e2.value === 3L && e2.ids.toSeq === Seq(2))
+    assert(e2.countSum === 21L)
+
+    // bucket 5 still lists 0, 1 and 2: their stale entries keep their marks
+    val e3 = b.nextBucket(3, peeledRound, null)
+    assert(e3.value === 5L && e3.ids.sorted.toSeq === (3 until 10))
+    assert(e3.countSum === 0L, "no count sum asked for")
+    assert(marked(1) === Seq(0, 1) && marked(2) === Seq(2) && marked(3) === (3 until 10))
+    assert(b.nextBucket(4, peeledRound, count) === null)
+  }
+
+  test("the marking extract above the grain under 4 threads: marks and count sums match the returned ids in every round") {
+    Par.withThreads(4) {
+      val n = 6 * Par.BlockGrain
+      val rnd = new Random(13)
+      val b = new Bucketing(n, window = 16)
+      val value = Array.tabulate(n)(_ => if (rnd.nextInt(3) == 0) 0L else rnd.nextInt(100).toLong)
+      b.insertAll((0 until n).toArray)(value)
+      val peeledRound = Array.fill(n)(Int.MaxValue)
+      val expected = Array.fill(n)(Int.MaxValue)
+      var round = 0
+      var e = b.nextBucket(1, peeledRound, i => i.toLong)
+      while (e != null) {
+        round += 1
+        e.ids.foreach(id => expected(id) = round)
+        assert(peeledRound.sameElements(expected), s"round $round")
+        assert(e.countSum === e.ids.map(_.toLong).sum, s"round $round")
+        // move a third of the survivors down (stale entries), some into the overflow
+        val moved = (0 until n).filter(i => expected(i) == Int.MaxValue && rnd.nextInt(3) == 0).toArray
+        moved.foreach(i => value(i) = math.max(e.value, value(i) - rnd.nextInt(40)))
+        b.updateAll(moved)(value)
+        e = b.nextBucket(round + 1, peeledRound, i => i.toLong)
+      }
+      assert(!expected.contains(Int.MaxValue))
+      assert(round > 1)
+    }
+  }
+
   test("single-id insert keeps its require messages") {
     val b = new Bucketing(4)
     val neg = intercept[IllegalArgumentException](b.insert(0, -1L))

@@ -135,6 +135,29 @@ class UpdateAggregatorSpec extends SparkSpec {
     assert(agg.drain().length === 50000)
   }
 
+  test("list-buffer: after a round offered from many threads, drain returns the same slots in the same order on 1 and 4 threads") {
+    // 16 offering threads, each reserving its own blocks and leaving unused
+    // cells; a fixed interleaving of their offers makes the cell layout the
+    // same for both aggregators
+    val workers = Array.fill(16)(java.util.concurrent.Executors.newSingleThreadExecutor())
+    def offered(): ListBufferAggregator = {
+      val agg = new ListBufferAggregator(100000)
+      agg.beginRound(100000)
+      for (step <- 0 until 10; (w, t) <- workers.zipWithIndex)
+        w.submit(new Runnable {
+          def run(): Unit = for (i <- 0 until 70) agg.offer((t * 700 + step * 70 + i) * 7 % 100000)
+        }).get()
+      agg
+    }
+    try {
+      val one = Par.withThreads(1)(offered().drain())
+      val four = Par.withThreads(4)(offered().drain())
+      assert(16 * 2 * ListBufferAggregator.BlockSize > 2 * Par.BlockGrain, "the region must span several drain blocks")
+      assert(one.toSeq === four.toSeq)
+      assert(one.sorted.toSeq === (0 until 16 * 700).map(_ * 7 % 100000).sorted)
+    } finally workers.foreach(_.shutdown())
+  }
+
   test("list-buffer: a pool above its thread limit is rejected with the limit named") {
     val limit = ListBufferAggregator.MaxThreads
     Par.withThreads(limit)(new ListBufferAggregator(10))
